@@ -18,7 +18,8 @@
 //!
 //! Everything else (`extra` fields like speedups, quota settings,
 //! per-backend work stats) is scenario-specific and additive — readers
-//! must ignore keys they do not know.
+//! must ignore keys they do not know. The `kernels` scenario also
+//! requires every extra [`kernels_bench_record`] writes.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -143,6 +144,46 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
                 ))
             }
             None => return Err(format!("missing latency_us key {key:?}")),
+        }
+    }
+    if doc.get("scenario").and_then(JsonValue::as_str) == Some("kernels") {
+        validate_kernels_extras(&doc)?;
+    }
+    Ok(())
+}
+
+/// The `kernels` scenario's required extras: numeric `batch`, `threads`
+/// and fusion counts, boolean `identical`, and non-empty `rows` of
+/// `arith`, `scalar_eps`, `fused_eps` and `fused_speedup`.
+fn validate_kernels_extras(doc: &JsonValue) -> Result<(), String> {
+    let number = |v: &JsonValue, key: &str| {
+        v.get(key)
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("kernels: missing numeric key {key:?}"))
+    };
+    for key in [
+        "batch",
+        "threads",
+        "source_instrs",
+        "fused_instrs",
+        "mul_accs",
+        "reduces",
+    ] {
+        number(doc, key)?;
+    }
+    if !matches!(doc.get("identical"), Some(JsonValue::Bool(_))) {
+        return Err("kernels: missing boolean key \"identical\"".to_string());
+    }
+    let rows = doc.get("rows").and_then(JsonValue::as_array).unwrap_or(&[]);
+    if rows.is_empty() {
+        return Err("kernels: missing non-empty array key \"rows\"".to_string());
+    }
+    for row in rows {
+        if row.get("arith").and_then(JsonValue::as_str).is_none() {
+            return Err("kernels: missing string key \"arith\" in a row".to_string());
+        }
+        for key in ["scalar_eps", "fused_eps", "fused_speedup"] {
+            number(row, key)?;
         }
     }
     Ok(())
@@ -405,12 +446,7 @@ pub fn kernels_bench_record(study: &crate::KernelStudy) -> BenchRecord {
             JsonValue::Object(vec![
                 ("arith".to_string(), JsonValue::from(r.arith)),
                 ("scalar_eps".to_string(), JsonValue::from(r.scalar_eps)),
-                ("simd_eps".to_string(), JsonValue::from(r.simd_eps)),
                 ("fused_eps".to_string(), JsonValue::from(r.fused_eps)),
-                (
-                    "simd_speedup".to_string(),
-                    JsonValue::from(r.simd_speedup()),
-                ),
                 (
                     "fused_speedup".to_string(),
                     JsonValue::from(r.fused_speedup()),
@@ -533,6 +569,21 @@ mod tests {
             .get("rows")
             .and_then(JsonValue::as_array)
             .is_some_and(|r| r.len() == 2));
+
+        // Every required kernels extra is enforced: renaming any one
+        // top-level key or row field fails validation, naming the key.
+        for key in [
+            "batch",
+            "identical",
+            "rows",
+            "reduces",
+            "arith",
+            "fused_eps",
+        ] {
+            let stripped = text.replace(&format!("\"{key}\""), "\"dropped\"");
+            let err = validate_bench_json(&stripped).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
     }
 
     #[test]

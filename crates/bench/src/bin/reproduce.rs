@@ -199,7 +199,7 @@ fn main() {
         let t = render_kernel_study(&study);
         println!("{t}");
         sections.push(format!(
-            "## Evaluator kernels — scalar vs SIMD vs fused tape\n\n```text\n{t}```\n"
+            "## Evaluator kernels — scalar vs fused tape\n\n```text\n{t}```\n"
         ));
         emit_bench(&kernels_bench_record(&study));
     }

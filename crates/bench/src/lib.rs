@@ -824,11 +824,9 @@ pub fn throughput_points(batch_sizes: &[usize], threads: usize) -> Vec<Throughpu
 
     let net = problp_bayes::networks::alarm(SEED);
     let ac = binarize(&compile(&net).expect("alarm compiles")).expect("alarm binarizes");
-    let mut engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
-        .expect("alarm compiles to a tape");
-    if threads > 0 {
-        engine = engine.with_threads(threads);
-    }
+    let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
+        .expect("alarm compiles to a tape")
+        .with_threads(threads);
 
     // Cycle through the single-variable evidences, the same pool the
     // error sweeps draw from.
@@ -906,20 +904,14 @@ pub fn throughput_report(threads: usize) -> String {
 pub struct KernelStudyRow {
     /// Arithmetic label (`f64` or `fixed:I.F`).
     pub arith: &'static str,
-    /// Scalar-kernel batched engine evaluations per second.
+    /// Scalar reference kernel evaluations per second.
     pub scalar_eps: f64,
-    /// SIMD lane-chunked kernel evaluations per second.
-    pub simd_eps: f64,
-    /// Fused superinstruction (SIMD-backed) evaluations per second.
+    /// Fused superinstruction kernel (the engine default) evaluations
+    /// per second.
     pub fused_eps: f64,
 }
 
 impl KernelStudyRow {
-    /// Speedup of the SIMD kernels over the scalar tape walk.
-    pub fn simd_speedup(&self) -> f64 {
-        self.simd_eps / self.scalar_eps
-    }
-
     /// Speedup of the fused stream over the scalar tape walk.
     pub fn fused_speedup(&self) -> f64 {
         self.fused_eps / self.scalar_eps
@@ -927,7 +919,7 @@ impl KernelStudyRow {
 }
 
 /// The evaluator-kernel study: single-core Alarm marginal sweeps at one
-/// batch size, scalar vs SIMD vs fused kernels per arithmetic, with the
+/// batch size, scalar vs fused kernels per arithmetic, with the
 /// fusion statistics and an in-run bit-identity cross-check.
 #[derive(Clone, Debug)]
 pub struct KernelStudy {
@@ -950,7 +942,7 @@ pub struct KernelStudy {
 pub fn kernel_study(batch_size: usize) -> KernelStudy {
     use problp_ac::Semiring;
     use problp_bayes::{Evidence, EvidenceBatch};
-    use problp_engine::{Engine, KernelKind};
+    use problp_engine::Engine;
     use problp_num::{F64Arith, FixedArith};
 
     let net = problp_bayes::networks::alarm(SEED);
@@ -992,27 +984,23 @@ pub fn kernel_study(batch_size: usize) -> KernelStudy {
                 .map(|v| e.context().to_f64(v).to_bits())
                 .collect()
         };
-        let engines: Vec<Engine<A>> = KernelKind::ALL
-            .iter()
-            .map(|&k| base.clone().with_kernel(k))
-            .collect();
+        // Both kinds pinned explicitly: the scalar column is the
+        // reference whatever the engine default is.
+        let engines = [KernelKind::Scalar, KernelKind::Fused].map(|k| base.clone().with_kernel(k));
         let reference = bits(&engines[0]);
-        let mut rates = [0.0f64; 3];
-        for (i, e) in engines.iter().enumerate() {
-            *identical &= bits(e) == reference;
-            let start = std::time::Instant::now();
-            let mut sweeps = 0u64;
-            while start.elapsed().as_secs_f64() < 0.2 {
-                std::hint::black_box(e.evaluate_batch(batch).expect("evaluates"));
-                sweeps += 1;
-            }
-            rates[i] = sweeps as f64 * batch.lanes() as f64 / start.elapsed().as_secs_f64();
-        }
+        let [scalar_eps, fused_eps] = engines.map(|e| {
+            *identical &= bits(&e) == reference;
+            rate_of(
+                || {
+                    std::hint::black_box(e.evaluate_batch(batch).expect("evaluates"));
+                },
+                batch.lanes(),
+            )
+        });
         KernelStudyRow {
             arith,
-            scalar_eps: rates[0],
-            simd_eps: rates[1],
-            fused_eps: rates[2],
+            scalar_eps,
+            fused_eps,
         }
     }
 
@@ -1020,11 +1008,7 @@ pub fn kernel_study(batch_size: usize) -> KernelStudy {
     let f64_engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
         .expect("alarm compiles to a tape")
         .with_threads(1);
-    let fuse = f64_engine
-        .clone()
-        .with_kernel(KernelKind::Fused)
-        .fuse_stats()
-        .expect("fused engine exposes stats");
+    let fuse = f64_engine.fuse_stats().expect("the default engine fuses");
     let f64_row = measure_row("f64", &f64_engine, &batch, &mut identical);
 
     let format = FixedFormat::new(2, 14).expect("valid format");
@@ -1049,18 +1033,16 @@ pub fn render_kernel_study(study: &KernelStudy) -> String {
         study.batch
     ));
     out.push_str(&format!(
-        "{:>11} | {:>12} | {:>12} | {:>12} | {:>7} | {:>7}\n",
-        "arith", "scalar tape", "simd", "fused", "simd x", "fused x"
+        "{:>11} | {:>12} | {:>12} | {:>7}\n",
+        "arith", "scalar tape", "fused", "fused x"
     ));
-    out.push_str(&format!("{}\n", "-".repeat(78)));
+    out.push_str(&format!("{}\n", "-".repeat(52)));
     for r in &study.rows {
         out.push_str(&format!(
-            "{:>11} | {:>12.0} | {:>12.0} | {:>12.0} | {:>6.1}x | {:>6.1}x\n",
+            "{:>11} | {:>12.0} | {:>12.0} | {:>6.1}x\n",
             r.arith,
             r.scalar_eps,
-            r.simd_eps,
             r.fused_eps,
-            r.simd_speedup(),
             r.fused_speedup()
         ));
     }

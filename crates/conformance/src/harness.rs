@@ -172,6 +172,45 @@ fn diff(reference: &[u64], got: &[u64]) -> (usize, Option<usize>) {
     (mismatched, first)
 }
 
+/// One timed batch sweep of `engine` as backend `kind`: its run record
+/// against the reference bits, plus its own (possibly injected) root
+/// bits. Work counts the instructions the selected kernel dispatches.
+fn engine_run<A>(
+    kind: BackendKind,
+    engine: &Engine<A>,
+    batch: &EvidenceBatch,
+    reference: &[u64],
+    config: &ConformanceConfig,
+) -> Result<(BackendRun, Vec<u64>), ConformanceError>
+where
+    A: KernelSet + Clone + Send + Sync,
+    A::Value: Clone + Send + Sync,
+{
+    // Builds the fused stream, if any, outside the timed sweep.
+    let instrs = engine
+        .fuse_stats()
+        .map_or(engine.tape().stats().instrs, |f| f.fused_instrs);
+    let start = Instant::now();
+    let result = engine.evaluate_batch(batch)?;
+    let wall = start.elapsed();
+    let mut bits: Vec<u64> = result
+        .values
+        .iter()
+        .map(|v| engine.context().to_f64(v).to_bits())
+        .collect();
+    maybe_inject(&mut bits, kind, config);
+    let (mismatched_lanes, first_mismatch) = diff(reference, &bits);
+    let run = BackendRun {
+        backend: kind,
+        mismatched_lanes,
+        first_mismatch,
+        wall,
+        work: (instrs * batch.lanes()) as u64,
+        range_flag: range_flag(result.flags, kind, config),
+    };
+    Ok((run, bits))
+}
+
 /// One `(model, arithmetic, semiring)` case: evaluate every applicable
 /// backend and compare bit patterns lane by lane.
 fn run_case<A>(
@@ -214,47 +253,22 @@ where
         range_flag: range_flag(scalar_flags, BackendKind::Scalar, config),
     });
 
-    // Compact tape: the serving engine's production path. Its tape is
-    // also what the static range analysis reads for the flag
-    // cross-check — the verdicts hold for every backend because all of
-    // them compute the same operations in the same format.
-    let engine = Engine::from_graph(bin, semiring, ctx.clone())?;
+    // Compact tape on the scalar reference kernel: the serving pool's
+    // production path. Its tape is also what the static range analysis
+    // reads for the flag cross-check — the verdicts hold for every
+    // backend because all of them compute the same operations in the
+    // same format.
+    let engine = Engine::from_graph(bin, semiring, ctx.clone())?.with_kernel(KernelKind::Scalar);
     let static_report = problp_verify::analyze(engine.tape(), arith)?;
     let static_safe = config.force_static_safe || static_report.all_safe();
-    let start = Instant::now();
-    let result = engine.evaluate_batch(batch)?;
-    let wall = start.elapsed();
-    let mut bits: Vec<u64> = result
-        .values
-        .iter()
-        .map(|v| engine.context().to_f64(v).to_bits())
-        .collect();
-    maybe_inject(&mut bits, BackendKind::TapeCompact, config);
-    let (mismatched, first) = diff(&reference, &bits);
-    backends.push(BackendRun {
-        backend: BackendKind::TapeCompact,
-        mismatched_lanes: mismatched,
-        first_mismatch: first,
-        wall,
-        work: engine.tape().stats().instrs as u64 * lanes as u64,
-        range_flag: range_flag(result.flags, BackendKind::TapeCompact, config),
-    });
+    let (run, _) = engine_run(BackendKind::TapeCompact, &engine, batch, &reference, config)?;
+    backends.push(run);
 
     // Full-values tape: root bits on every lane, whole node vectors on a
     // few (register i = node i, so the spot check pins the entire sweep,
     // not just the root).
-    let full = Engine::from_graph_full(bin, semiring, ctx.clone())?;
-    let start = Instant::now();
-    let result = full.evaluate_batch(batch)?;
-    let wall = start.elapsed();
-    let full_flags = result.flags;
-    let mut bits: Vec<u64> = result
-        .values
-        .iter()
-        .map(|v| full.context().to_f64(v).to_bits())
-        .collect();
-    maybe_inject(&mut bits, BackendKind::TapeFull, config);
-    let (mut mismatched, mut first) = diff(&reference, &bits);
+    let full = Engine::from_graph_full(bin, semiring, ctx.clone())?.with_kernel(KernelKind::Scalar);
+    let (mut run, bits) = engine_run(BackendKind::TapeFull, &full, batch, &reference, config)?;
     for lane in 0..lanes.min(NODE_CHECK_LANES) {
         let e = batch.evidence(lane);
         let (node_values, _) = full.evaluate_nodes_one(&e)?;
@@ -268,71 +282,22 @@ where
         if diverged && bits.get(lane) == reference.get(lane) {
             // Root agreed but an internal node diverged: still a
             // conformance failure of this lane.
-            mismatched += 1;
-            first = first.or(Some(lane));
+            run.mismatched_lanes += 1;
+            run.first_mismatch = run.first_mismatch.or(Some(lane));
         }
     }
-    backends.push(BackendRun {
-        backend: BackendKind::TapeFull,
-        mismatched_lanes: mismatched,
-        first_mismatch: first,
-        wall,
-        work: full.tape().stats().instrs as u64 * lanes as u64,
-        range_flag: range_flag(full_flags, BackendKind::TapeFull, config),
-    });
+    backends.push(run);
 
-    // Fused superinstruction streams: the compact tape gets MulAcc +
-    // Reduce, the full-values tape chain collapse only — both must
-    // reproduce the scalar reference bit for bit, flags included.
+    // Fused superinstruction streams (the `Engine` default kernel): the
+    // compact tape gets MulAcc + Reduce, the full-values tape chain
+    // collapse only — both must reproduce the scalar reference bit for
+    // bit, flags included.
     for (kind, base) in [
         (BackendKind::FusedCompact, &engine),
         (BackendKind::FusedFull, &full),
     ] {
-        let fused_engine = base.clone().with_kernel(KernelKind::Fused);
-        let start = Instant::now();
-        let result = fused_engine.evaluate_batch(batch)?;
-        let wall = start.elapsed();
-        let mut bits: Vec<u64> = result
-            .values
-            .iter()
-            .map(|v| fused_engine.context().to_f64(v).to_bits())
-            .collect();
-        maybe_inject(&mut bits, kind, config);
-        let (mismatched, first) = diff(&reference, &bits);
-        let fused_instrs = fused_engine
-            .fused_tape()
-            .map_or(0, |f| f.instrs().len() as u64);
-        backends.push(BackendRun {
-            backend: kind,
-            mismatched_lanes: mismatched,
-            first_mismatch: first,
-            wall,
-            work: fused_instrs * lanes as u64,
-            range_flag: range_flag(result.flags, kind, config),
-        });
-    }
-
-    // SIMD lane-chunked kernels over the unfused compact tape.
-    {
-        let simd_engine = engine.clone().with_kernel(KernelKind::Simd);
-        let start = Instant::now();
-        let result = simd_engine.evaluate_batch(batch)?;
-        let wall = start.elapsed();
-        let mut bits: Vec<u64> = result
-            .values
-            .iter()
-            .map(|v| simd_engine.context().to_f64(v).to_bits())
-            .collect();
-        maybe_inject(&mut bits, BackendKind::SimdCompact, config);
-        let (mismatched, first) = diff(&reference, &bits);
-        backends.push(BackendRun {
-            backend: BackendKind::SimdCompact,
-            mismatched_lanes: mismatched,
-            first_mismatch: first,
-            wall,
-            work: simd_engine.tape().stats().instrs as u64 * lanes as u64,
-            range_flag: range_flag(result.flags, BackendKind::SimdCompact, config),
-        });
+        let fused = base.clone().with_kernel(KernelKind::Fused);
+        backends.push(engine_run(kind, &fused, batch, &reference, config)?.0);
     }
 
     // The hardware executors implement the sum/product datapath only.

@@ -8,13 +8,15 @@
 //! the same evidence lanes on every backend the workspace has and
 //! asserts the results **bit-identical** per arithmetic and semiring.
 //!
-//! The five result streams per case:
+//! The seven result streams per case:
 //!
 //! | backend | crate | what runs |
 //! |---------|-------|-----------|
 //! | `scalar` (reference) | `problp-ac` | [`problp_ac::AcGraph::evaluate_nodes`], one tree-walk per lane |
-//! | `tape` | `problp-engine` | compact tape ([`problp_engine::Tape::compile`]), SoA batch sweep |
-//! | `tape-full` | `problp-engine` | full-values tape ([`problp_engine::Tape::compile_full`]), plus per-node spot checks |
+//! | `tape` | `problp-engine` | compact tape ([`problp_engine::Tape::compile`]), SoA batch sweep on the scalar kernel |
+//! | `tape-full` | `problp-engine` | full-values tape ([`problp_engine::Tape::compile_full`]) on the scalar kernel, plus per-node spot checks |
+//! | `fused-compact` | `problp-engine` | the compact tape's fused stream ([`problp_engine::Tape::fuse`]), the `Engine` default kernel |
+//! | `fused-full` | `problp-engine` | the full-values tape's fused stream |
 //! | `schedule` | `problp-hw` | sequential ALU ([`problp_hw::Schedule::execute_batch`]) |
 //! | `pipeline` | `problp-hw` | cycle-accurate pipelined datapath, streaming one lane per cycle ([`problp_hw::PipelineSim::run_batch`]) |
 //!

@@ -53,15 +53,10 @@ fn fault_injection_turns_the_verdict_red() {
     // A harness that cannot detect a corrupted backend proves nothing:
     // flipping one bit of lane 0 in any stream must flip the verdict.
     let models = vec![("sprinkler".to_string(), networks::sprinkler())];
-    for backend in [
-        BackendKind::TapeCompact,
-        BackendKind::TapeFull,
-        BackendKind::FusedCompact,
-        BackendKind::FusedFull,
-        BackendKind::SimdCompact,
-        BackendKind::Schedule,
-        BackendKind::Pipeline,
-    ] {
+    for backend in BackendKind::ALL
+        .into_iter()
+        .filter(|b| *b != BackendKind::Scalar)
+    {
         let config = ConformanceConfig {
             batch: 8,
             inject_fault: Some(backend),
@@ -139,8 +134,11 @@ fn single_arith_single_semiring_configs_narrow_the_matrix() {
     let report = run_conformance(&small_models(), &config).unwrap();
     assert_eq!(report.cases.len(), 2);
     assert!(report.all_match(), "{report}");
-    // Sum-product cases carry all eight streams.
-    assert!(report.cases.iter().all(|c| c.backends.len() == 8));
+    // Sum-product cases carry all seven streams.
+    assert!(report
+        .cases
+        .iter()
+        .all(|c| c.backends.len() == BackendKind::ALL.len()));
 }
 
 #[test]
@@ -183,7 +181,7 @@ fn injected_runtime_flag_on_a_safe_case_turns_the_verdict_red() {
     let config = ConformanceConfig {
         batch: 8,
         ariths: vec![ArithSpec::F64],
-        inject_flag_fault: Some(BackendKind::SimdCompact),
+        inject_flag_fault: Some(BackendKind::FusedCompact),
         ..ConformanceConfig::default()
     };
     let report = run_conformance(&models, &config).unwrap();

@@ -25,6 +25,16 @@
 //! re-runs lane-major with a fresh context per lane and reports
 //! per-lane flags — the input the fixed/float range analyses need to
 //! pinpoint which instance violated a format's range.
+//!
+//! # Kernels
+//!
+//! Batch sweeps run the fused superinstruction stream
+//! ([`KernelKind::Fused`], the default) unless an engine is pinned to
+//! the scalar reference with [`Engine::with_kernel`]. The stream is
+//! built lazily, on the first fused batch sweep, so an engine that only
+//! ever answers single instances never pays for [`Tape::fuse`].
+
+use std::sync::OnceLock;
 
 use problp_ac::{AcGraph, Semiring};
 use problp_bayes::{Evidence, EvidenceBatch, VarId};
@@ -32,7 +42,7 @@ use problp_num::{Arith, Flags};
 
 use crate::error::{panic_message, EngineError};
 use crate::fuse::{BinOp, FuseStats, FusedInstr, FusedTape};
-use crate::kernels::{min_nz, KernelKind, KernelSet};
+use crate::kernels::{apply_op, scalar_bin_rows, KernelKind, KernelSet};
 use crate::tape::{Instr, Tape, TapeMode};
 
 /// Target byte size of one worker's SoA register file: small enough to
@@ -109,9 +119,9 @@ pub struct Engine<A: Arith> {
     chunk: usize,
     /// Which evaluator core batch sweeps dispatch through.
     kernel: KernelKind,
-    /// The fused superinstruction stream, present iff `kernel` is
-    /// [`KernelKind::Fused`].
-    fused: Option<FusedTape>,
+    /// The fused superinstruction stream of `tape`, filled on first use
+    /// under [`KernelKind::Fused`] (see [`Engine::fused_tape`]).
+    fused: OnceLock<FusedTape>,
 }
 
 impl<A> Engine<A>
@@ -140,8 +150,8 @@ where
             one,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             chunk,
-            kernel: KernelKind::Scalar,
-            fused: None,
+            kernel: KernelKind::default(),
+            fused: OnceLock::new(),
         }
     }
 
@@ -188,20 +198,15 @@ where
 
     /// Selects the evaluator core batch sweeps run through (see
     /// [`KernelKind`] and the [`crate::kernels`] module docs). The
-    /// default is [`KernelKind::Scalar`] — the reference path every other
-    /// kernel is proven bit-identical to. [`KernelKind::Fused`] runs the
-    /// tape through the peephole fuser ([`Tape::fuse`]) here, once.
+    /// default is [`KernelKind::Fused`]; [`KernelKind::Scalar`] pins the
+    /// reference path the fused stream is proven bit-identical to.
     ///
-    /// The scalar single-instance paths ([`Engine::evaluate_one`],
+    /// The single-instance paths ([`Engine::evaluate_one`],
     /// [`Engine::evaluate_nodes_one`]) and the per-lane flag capture
     /// ([`Engine::evaluate_batch_flagged`]) always run the reference
     /// instruction stream regardless of this setting.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
-        self.fused = match kernel {
-            KernelKind::Fused => Some(self.tape.fuse()),
-            _ => None,
-        };
         self
     }
 
@@ -211,16 +216,24 @@ where
     }
 
     /// The fused superinstruction stream, when the engine runs the
-    /// [`KernelKind::Fused`] core.
+    /// [`KernelKind::Fused`] core. The first call (or the first fused
+    /// batch sweep) runs [`Tape::fuse`]; later calls reuse the stream.
     pub fn fused_tape(&self) -> Option<&FusedTape> {
-        self.fused.as_ref()
+        (self.kernel == KernelKind::Fused).then(|| self.fused.get_or_init(|| self.tape.fuse()))
+    }
+
+    /// Whether the fused stream has been built yet. Never builds it,
+    /// unlike [`Engine::fused_tape`].
+    pub fn has_fused_tape(&self) -> bool {
+        self.fused.get().is_some()
     }
 
     /// Statistics of the fusion pass, when the engine runs the
     /// [`KernelKind::Fused`] core (feeds the
-    /// `problp_engine_fused_instrs_total` serving counter).
+    /// `problp_engine_fused_instrs_total` serving counter). Builds the
+    /// stream like [`Engine::fused_tape`].
     pub fn fuse_stats(&self) -> Option<FuseStats> {
-        self.fused.as_ref().map(|f| f.stats())
+        self.fused_tape().map(FusedTape::stats)
     }
 
     /// The compiled tape backing this engine.
@@ -234,6 +247,7 @@ where
     /// through this computes garbage. Not a stable API.
     #[doc(hidden)]
     pub fn raw_tape_mut(&mut self) -> &mut Tape {
+        self.fused = OnceLock::new();
         &mut self.tape
     }
 
@@ -292,6 +306,10 @@ where
             return Ok(BatchResult { values, flags });
         }
 
+        // Built on the calling thread before any shard starts: a stream
+        // built inside a shard would live in that thread's malloc arena,
+        // which measurably raised peak RSS.
+        let fused = self.fused_tape();
         let shards = self.shard_count(lanes);
         if shards <= 1 {
             // The inline fast path honors the same WorkerPanic contract
@@ -299,7 +317,7 @@ where
             // down the caller's thread (values are discarded on error,
             // the engine itself holds no mutable state).
             let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.sweep_range(batch, 0, &mut values)
+                self.sweep_range(batch, fused, 0, &mut values)
             }))
             .map_err(|payload| EngineError::WorkerPanic {
                 message: panic_message(payload),
@@ -307,20 +325,13 @@ where
             flags.merge(swept);
         } else {
             let per = lanes.div_ceil(shards);
-            let mut slices: Vec<(usize, &mut [A::Value])> = Vec::with_capacity(shards);
-            let mut rest = values.as_mut_slice();
-            let mut start = 0;
-            while !rest.is_empty() {
-                let take = per.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                slices.push((start, head));
-                start += take;
-                rest = tail;
-            }
             let joined = std::thread::scope(|scope| {
-                let handles: Vec<_> = slices
-                    .into_iter()
-                    .map(|(start, out)| scope.spawn(move || self.sweep_range(batch, start, out)))
+                let handles: Vec<_> = values
+                    .chunks_mut(per)
+                    .enumerate()
+                    .map(|(i, out)| {
+                        scope.spawn(move || self.sweep_range(batch, fused, i * per, out))
+                    })
                     .collect();
                 // Join every handle before leaving the scope so one
                 // panicking shard cannot re-panic the scope exit.
@@ -379,32 +390,17 @@ where
         })
     }
 
-    /// Evaluates a single evidence instance on the scalar tape path (no
-    /// threads, no SoA blocking): the latency-oriented little sibling of
-    /// [`Engine::evaluate_batch`].
+    /// Evaluates a single evidence instance on the reference tape path
+    /// (no threads, no SoA blocking, no fused stream): the
+    /// latency-oriented little sibling of [`Engine::evaluate_batch`].
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::BatchLengthMismatch`] on an evidence length
     /// mismatch.
     pub fn evaluate_one(&self, evidence: &Evidence) -> Result<(A::Value, Flags), EngineError> {
-        if evidence.len() != self.tape.var_count() {
-            return Err(EngineError::BatchLengthMismatch {
-                batch: evidence.len(),
-                circuit: self.tape.var_count(),
-            });
-        }
-        let mut ctx = self.ctx.clone();
-        ctx.clear_flags();
-        let mut regs = self.fresh_regs();
-        self.run_instrs(&mut ctx, &mut regs, |var| {
-            evidence
-                .state(VarId::from_index(var as usize))
-                .map_or(-1, |s| s as i32)
-        });
-        let mut flags = ctx.flags();
-        flags.merge(self.const_flags);
-        Ok((regs[self.tape.root_reg() as usize].clone(), flags))
+        let (mut regs, flags) = self.sweep_one(evidence)?;
+        Ok((regs.swap_remove(self.tape.root_reg() as usize), flags))
     }
 
     /// Evaluates a single evidence instance on a **full-values** tape,
@@ -427,6 +423,12 @@ where
         if self.tape.mode() != TapeMode::Full {
             return Err(EngineError::NeedsFullValues);
         }
+        self.sweep_one(evidence)
+    }
+
+    /// One reference sweep over a scalar register file: the whole
+    /// register file after the sweep plus its sticky flags.
+    fn sweep_one(&self, evidence: &Evidence) -> Result<(Vec<A::Value>, Flags), EngineError> {
         if evidence.len() != self.tape.var_count() {
             return Err(EngineError::BatchLengthMismatch {
                 batch: evidence.len(),
@@ -468,37 +470,27 @@ where
         regs: &mut [A::Value],
         observed: impl Fn(u32) -> i32,
     ) {
-        for instr in self.tape.instrs() {
-            match *instr {
-                Instr::LoadIndicator { dst, slot } => {
-                    let (var, state) = self.tape.slot(slot);
-                    let o = observed(var);
-                    regs[dst as usize] = if o >= 0 && o != state as i32 {
-                        self.zero.clone()
-                    } else {
-                        self.one.clone()
-                    };
-                }
-                Instr::Add { dst, lhs, rhs } => {
-                    regs[dst as usize] = ctx.add(&regs[lhs as usize], &regs[rhs as usize]);
-                }
-                Instr::Mul { dst, lhs, rhs } => {
-                    regs[dst as usize] = ctx.mul(&regs[lhs as usize], &regs[rhs as usize]);
-                }
-                Instr::Max { dst, lhs, rhs } => {
-                    regs[dst as usize] = ctx.max(&regs[lhs as usize], &regs[rhs as usize]);
-                }
-                Instr::MinNz { dst, lhs, rhs } => {
-                    regs[dst as usize] = min_nz(ctx, &regs[lhs as usize], &regs[rhs as usize]);
-                }
+        for &instr in self.tape.instrs() {
+            if let Instr::LoadIndicator { dst, slot } = instr {
+                let (var, state) = self.tape.slot(slot);
+                regs[dst as usize] = self.indicator(state, observed(var)).clone();
+            } else if let Some((op, dst, lhs, rhs)) = BinOp::decode(instr) {
+                regs[dst as usize] = apply_op(ctx, op, &regs[lhs as usize], &regs[rhs as usize]);
             }
         }
     }
 
     /// SoA sweep of the contiguous lane range starting at `start`, writing
     /// root values into `out` (whose length determines the range) and
-    /// returning the shard's sticky flags.
-    fn sweep_range(&self, batch: &EvidenceBatch, start: usize, out: &mut [A::Value]) -> Flags {
+    /// returning the shard's sticky flags. Runs the fused core when
+    /// `fused` is given, the scalar reference core otherwise.
+    fn sweep_range(
+        &self,
+        batch: &EvidenceBatch,
+        fused: Option<&FusedTape>,
+        start: usize,
+        out: &mut [A::Value],
+    ) -> Flags {
         let mut ctx = self.ctx.clone();
         ctx.clear_flags();
         let num_regs = self.tape.num_regs();
@@ -516,14 +508,11 @@ where
         while done < out.len() {
             let n = chunk.min(out.len() - done);
             let base = start + done;
-            match (self.kernel, &self.fused) {
-                (KernelKind::Fused, Some(fused)) => {
+            match fused {
+                Some(fused) => {
                     self.sweep_chunk_fused(&mut ctx, batch, fused, &mut regs, chunk, base, n);
                 }
-                (KernelKind::Simd, _) => {
-                    self.sweep_chunk_simd(&mut ctx, batch, &mut regs, chunk, base, n);
-                }
-                _ => self.sweep_chunk_scalar(&mut ctx, batch, &mut regs, chunk, base, n),
+                None => self.sweep_chunk_scalar(&mut ctx, batch, &mut regs, chunk, base, n),
             }
             let root = self.tape.root_reg() as usize * chunk;
             out[done..done + n].clone_from_slice(&regs[root..root + n]);
@@ -548,18 +537,24 @@ where
         let col = batch.column(VarId::from_index(var as usize));
         let d = dst as usize * chunk;
         for l in 0..n {
-            let observed = col[base + l];
-            regs[d + l] = if observed >= 0 && observed != state as i32 {
-                self.zero.clone()
-            } else {
-                self.one.clone()
-            };
+            regs[d + l] = self.indicator(state, col[base + l]).clone();
+        }
+    }
+
+    /// The value of an indicator for `state` when its variable's evidence
+    /// column reads `observed` (negative = unobserved): zero only when a
+    /// different state is observed.
+    fn indicator(&self, state: u32, observed: i32) -> &A::Value {
+        if observed >= 0 && observed != state as i32 {
+            &self.zero
+        } else {
+            &self.one
         }
     }
 
     /// One lane block through the reference scalar core: per-instruction
-    /// loops through the `Arith` context, exactly the semantics every
-    /// other kernel is proven bit-identical to.
+    /// loops through the `Arith` context, exactly the semantics the fused
+    /// kernel is proven bit-identical to.
     fn sweep_chunk_scalar(
         &self,
         ctx: &mut A,
@@ -569,84 +564,12 @@ where
         base: usize,
         n: usize,
     ) {
-        for instr in self.tape.instrs() {
-            match *instr {
-                Instr::LoadIndicator { dst, slot } => {
-                    self.load_indicator_chunk(batch, regs, chunk, dst, slot, base, n);
-                }
-                Instr::Add { dst, lhs, rhs } => {
-                    let (d, a, b) = (
-                        dst as usize * chunk,
-                        lhs as usize * chunk,
-                        rhs as usize * chunk,
-                    );
-                    for l in 0..n {
-                        let v = ctx.add(&regs[a + l], &regs[b + l]);
-                        regs[d + l] = v;
-                    }
-                }
-                Instr::Mul { dst, lhs, rhs } => {
-                    let (d, a, b) = (
-                        dst as usize * chunk,
-                        lhs as usize * chunk,
-                        rhs as usize * chunk,
-                    );
-                    for l in 0..n {
-                        let v = ctx.mul(&regs[a + l], &regs[b + l]);
-                        regs[d + l] = v;
-                    }
-                }
-                Instr::Max { dst, lhs, rhs } => {
-                    let (d, a, b) = (
-                        dst as usize * chunk,
-                        lhs as usize * chunk,
-                        rhs as usize * chunk,
-                    );
-                    for l in 0..n {
-                        let v = ctx.max(&regs[a + l], &regs[b + l]);
-                        regs[d + l] = v;
-                    }
-                }
-                Instr::MinNz { dst, lhs, rhs } => {
-                    let (d, a, b) = (
-                        dst as usize * chunk,
-                        lhs as usize * chunk,
-                        rhs as usize * chunk,
-                    );
-                    for l in 0..n {
-                        let v = min_nz(ctx, &regs[a + l], &regs[b + l]);
-                        regs[d + l] = v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// One lane block through the lane-chunked vector kernels on the
-    /// unfused tape ([`KernelKind::Simd`]).
-    fn sweep_chunk_simd(
-        &self,
-        ctx: &mut A,
-        batch: &EvidenceBatch,
-        regs: &mut [A::Value],
-        chunk: usize,
-        base: usize,
-        n: usize,
-    ) {
-        for instr in self.tape.instrs() {
-            if let Instr::LoadIndicator { dst, slot } = *instr {
+        for &instr in self.tape.instrs() {
+            if let Instr::LoadIndicator { dst, slot } = instr {
                 self.load_indicator_chunk(batch, regs, chunk, dst, slot, base, n);
-            } else {
-                let (op, dst, lhs, rhs) =
-                    BinOp::decode(*instr).expect("non-indicator instructions are binary");
-                ctx.bin_rows(
-                    op,
-                    regs,
-                    dst as usize * chunk,
-                    lhs as usize * chunk,
-                    rhs as usize * chunk,
-                    n,
-                );
+            } else if let Some((op, dst, lhs, rhs)) = BinOp::decode(instr) {
+                let (d, a, b) = (dst as usize, lhs as usize, rhs as usize);
+                scalar_bin_rows(ctx, op, regs, d * chunk, a * chunk, b * chunk, n);
             }
         }
     }

@@ -152,8 +152,8 @@ impl std::fmt::Display for FuseStats {
 /// A fused superinstruction stream over the same register file, root and
 /// indicator slots as the [`Tape`] it was derived from.
 ///
-/// Built by [`Tape::fuse`]; evaluated by
-/// [`crate::Engine::with_kernel`]`(`[`crate::KernelKind::Fused`]`)`.
+/// Built by [`Tape::fuse`]; evaluated by engines on the
+/// [`crate::KernelKind::Fused`] core, the [`crate::Engine`] default.
 #[derive(Clone, Debug)]
 pub struct FusedTape {
     instrs: Vec<FusedInstr>,

@@ -2,23 +2,23 @@
 //!
 //! # Dispatch model
 //!
-//! [`crate::Engine::evaluate_batch`] runs one of three evaluator cores,
+//! [`crate::Engine::evaluate_batch`] runs one of two evaluator cores,
 //! selected at runtime by [`KernelKind`] (see
 //! [`crate::Engine::with_kernel`]):
 //!
 //! * **`Scalar`** — the reference: per-instruction loops through the
-//!   [`problp_num::Arith`] context, exactly as PR 1 shipped. Every other
+//!   [`problp_num::Arith`] context over the unfused tape. The fused
 //!   kernel is defined as "bit-identical to this".
-//! * **`Simd`** — the same unfused tape, but each instruction's lane loop
-//!   goes through this trait, whose vectorized implementations process
-//!   fixed-width chunks of [`LANE_WIDTH`] lanes that the compiler can
-//!   keep in vector registers (portable `core::simd`-style: plain local
-//!   arrays, no intrinsics, a scalar tail for the remainder).
-//! * **`Fused`** — the [`crate::FusedTape`] superinstruction stream
-//!   ([`crate::Tape::fuse`]) through the same vectorized row ops, plus
-//!   [`KernelSet::mul_acc_rows`] / [`KernelSet::reduce_rows`] which keep
-//!   chain partials in local accumulators instead of round-tripping them
-//!   through the destination row.
+//! * **`Fused`** — the default: the [`crate::FusedTape`] superinstruction
+//!   stream ([`crate::Tape::fuse`], built on the engine's first fused
+//!   sweep) through this trait's row ops. Their vectorized
+//!   implementations process fixed-width chunks of [`LANE_WIDTH`] lanes
+//!   that the compiler can keep in vector registers (portable
+//!   `core::simd`-style: plain local arrays, no intrinsics, a scalar
+//!   tail for the remainder), and [`KernelSet::mul_acc_rows`] /
+//!   [`KernelSet::reduce_rows`] keep chain partials in local
+//!   accumulators instead of round-tripping them through the
+//!   destination row.
 //!
 //! # Which arithmetics vectorize
 //!
@@ -29,8 +29,8 @@
 //! | `float:E.M` | scalar fallback         | software-emulated rounding has no profitable lockstep form, so it keeps the defaulted reference loops |
 //!
 //! Every override is gated by `problp-conformance`: the differential
-//! matrix runs the `simd`/`fused` backends against the scalar walk on
-//! every arithmetic × semiring and fails on the first differing bit.
+//! matrix runs the `fused` backends against the scalar walk on every
+//! arithmetic × semiring and fails on the first differing bit.
 
 // Row kernels take flat `(op, regs, d, acc, a, b, n)` argument lists on
 // purpose: the hot path wants plain scalars, not a params struct the
@@ -49,24 +49,23 @@ pub const LANE_WIDTH: usize = 8;
 /// through. Selected per engine by [`crate::Engine::with_kernel`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum KernelKind {
-    /// Reference scalar loops (the default).
-    #[default]
+    /// Reference scalar loops over the unfused tape.
     Scalar,
-    /// Lane-chunked vectorized kernels on the unfused tape.
-    Simd,
-    /// Fused superinstruction tape plus the vectorized kernels.
+    /// Fused superinstruction tape through the vectorized row kernels.
+    /// The default: bit-identical to `Scalar` and faster in every row
+    /// of `BENCH_kernels.json`.
+    #[default]
     Fused,
 }
 
 impl KernelKind {
-    /// Every kernel kind, in escalation order.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Fused];
+    /// Every kernel kind, the reference first.
+    pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Fused];
 
-    /// The CLI name (`--kernel scalar|simd|fused`).
+    /// The CLI name (`--kernel scalar|fused`).
     pub fn name(&self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Simd => "simd",
             KernelKind::Fused => "fused",
         }
     }
@@ -96,10 +95,6 @@ impl std::fmt::Display for KernelKind {
 /// effects, reported through [`Arith::merge_flags`]). See the [module
 /// docs](crate::kernels) for the per-arithmetic table.
 pub trait KernelSet: Arith {
-    /// Whether this arithmetic ships vectorized kernels (`false` means
-    /// every row op runs the scalar reference loop).
-    const VECTORIZED: bool = false;
-
     /// `regs[d..][l] = op(regs[a..][l], regs[b..][l])` for `n` lanes.
     fn bin_rows(
         &mut self,
@@ -178,7 +173,9 @@ pub(crate) fn min_nz<A: Arith + ?Sized>(ctx: &mut A, a: &A::Value, b: &A::Value)
     }
 }
 
-/// The scalar reference loop behind [`KernelSet::bin_rows`].
+/// The scalar reference loop behind [`KernelSet::bin_rows`] and the
+/// [`KernelKind::Scalar`] core. The op is matched once per row, not per
+/// lane, so each lane loop is a straight run of one `Arith` call.
 pub(crate) fn scalar_bin_rows<A: Arith + ?Sized>(
     ctx: &mut A,
     op: BinOp,
@@ -188,9 +185,19 @@ pub(crate) fn scalar_bin_rows<A: Arith + ?Sized>(
     b: usize,
     n: usize,
 ) {
-    for l in 0..n {
-        let v = apply_op(ctx, op, &regs[a + l], &regs[b + l]);
-        regs[d + l] = v;
+    macro_rules! lanes {
+        ($f:expr) => {
+            for l in 0..n {
+                let v = $f(ctx, &regs[a + l], &regs[b + l]);
+                regs[d + l] = v;
+            }
+        };
+    }
+    match op {
+        BinOp::Add => lanes!(A::add),
+        BinOp::Mul => lanes!(A::mul),
+        BinOp::Max => lanes!(A::max),
+        BinOp::MinNz => lanes!(min_nz),
     }
 }
 
@@ -320,8 +327,6 @@ fn f64_map2(
 }
 
 impl KernelSet for F64Arith {
-    const VECTORIZED: bool = true;
-
     fn bin_rows(&mut self, op: BinOp, regs: &mut [f64], d: usize, a: usize, b: usize, n: usize) {
         f64_dispatch!(op, f => f64_map2(regs, d, a, b, n, f));
     }
@@ -506,8 +511,6 @@ impl FixedFastPath {
 }
 
 impl KernelSet for FixedArith {
-    const VECTORIZED: bool = true;
-
     fn bin_rows(&mut self, op: BinOp, regs: &mut [Fixed], d: usize, a: usize, b: usize, n: usize) {
         let Some(fast) = FixedFastPath::new(self) else {
             return scalar_bin_rows(self, op, regs, d, a, b, n);
@@ -568,8 +571,8 @@ impl KernelSet for FixedArith {
 }
 
 // float:E.M — software-emulated rounding stays on the scalar reference
-// loops (the defaulted methods); the `simd`/`fused` kernels then degrade
-// to the fused dispatch win only, still bit-identical by construction.
+// loops (the defaulted methods); the fused kernel then degrades to the
+// fused dispatch win only, still bit-identical by construction.
 impl KernelSet for FloatArith {}
 
 #[cfg(test)]

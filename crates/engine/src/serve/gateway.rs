@@ -13,7 +13,7 @@
 //! | outcome | status | body `error` |
 //! |---|---|---|
 //! | answered | 200 | — |
-//! | bad JSON / bad field / bad evidence shape | 400 | `bad_json` / `bad_request` / `bad_shape` |
+//! | bad JSON (nesting past [`problp_telemetry::json::MAX_DEPTH`] included) / bad field / bad evidence shape | 400 | `bad_json` / `bad_request` / `bad_shape` |
 //! | missing or unknown bearer token | 401 | `unauthorized` |
 //! | token maps to an unhosted model | 404 | `unknown_model` |
 //! | non-POST on `/v1/query` | 405 | `method_not_allowed` |

@@ -85,9 +85,9 @@ pub(crate) struct ServeMetrics {
     pub(crate) evaluate_us: [Histogram; 3],
     pub(crate) tape_instrs: Counter,
     pub(crate) fused_instrs: Counter,
-    /// Dispatched groups by evaluator core: scalar, simd, fused
+    /// Dispatched groups by evaluator core: scalar, fused
     /// ([`crate::KernelKind::ALL`] order).
-    pub(crate) kernel_dispatches: [Counter; 3],
+    pub(crate) kernel_dispatches: [Counter; 2],
     /// overflow, underflow, inexact, invalid.
     pub(crate) flag_raises: [Counter; 4],
     pub(crate) live_workers: Gauge,

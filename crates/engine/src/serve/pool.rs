@@ -63,6 +63,15 @@ where
     A::Value: Clone + Send + Sync,
 {
     /// Creates an empty pool evaluating in `ctx`'s number system.
+    ///
+    /// The pool pins [`KernelKind::Scalar`] on purpose, unlike the
+    /// [`Engine`] default. Serving groups are small, so the fused kernel
+    /// moves no median latency, while its set-up cost lands on every
+    /// register and reload: per Alarm tape on a shared 2-vCPU host,
+    /// `Tape::fuse` takes about 0.22 ms and `Tape::verify_fused` about
+    /// 0.69 ms, against 0.03 ms for `Tape::verify`, and serving set-up
+    /// rose from 1.8–2.7 ms to 5.6–6.7 ms with fused engines. Opt in with
+    /// [`CircuitPool::with_kernel`].
     pub fn new(ctx: A) -> Self {
         CircuitPool {
             ctx,
@@ -82,10 +91,14 @@ where
     }
 
     /// Selects the evaluator core ([`crate::KernelKind`]) of every engine
-    /// registered *after* this call. Coalesced answers stay pinned
-    /// bit-identical to [`CircuitPool::serve_one`] under every kernel —
-    /// both paths evaluate through the same tenant engines — and the
-    /// `tests/serve.rs` proptest sweep exercises the whole matrix.
+    /// registered *after* this call; the default is
+    /// [`KernelKind::Scalar`] (see [`CircuitPool::new`] for why).
+    /// Coalesced answers stay pinned bit-identical to
+    /// [`CircuitPool::serve_one`] under both kernels — both paths
+    /// evaluate through the same tenant engines — and the
+    /// `tests/serve.rs` proptest sweep exercises the whole matrix. Under
+    /// [`KernelKind::Fused`], registration fuses and verifies each
+    /// stream up front.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
@@ -471,6 +484,24 @@ mod tests {
             pool.reload("nonesuch", &ac),
             Err(ServeError::UnknownModel { .. })
         ));
+    }
+
+    /// The pool pins the scalar kernel: neither registration, reload nor
+    /// serving ever pays for a fused stream.
+    #[test]
+    fn pooled_engines_never_build_a_fused_stream() {
+        let pool = two_model_pool();
+        let ac = compile(&networks::sprinkler()).unwrap();
+        pool.reload("sprinkler", &ac).unwrap();
+        let request = super::tests_support::marginal("sprinkler", 4, Default::default());
+        pool.serve_one(&request).unwrap();
+        for model in pool.models() {
+            let tenant = pool.tenant(&model).unwrap();
+            for engine in [&tenant.sum, &tenant.mpe] {
+                assert_eq!(engine.kernel(), KernelKind::Scalar, "{model}");
+                assert!(!engine.has_fused_tape(), "{model} built a fused stream");
+            }
+        }
     }
 
     #[test]

@@ -277,6 +277,37 @@ fn bad_bodies_are_400_with_structured_errors() {
     assert!(body.contains("\"body_too_large\""), "{body}");
 }
 
+/// Regression: a deeply nested body once overflowed the parser's stack
+/// and aborted the whole gateway process. It must be a typed 400, and
+/// the gateway must keep answering afterwards.
+#[test]
+fn deeply_nested_json_is_400_and_the_gateway_survives() {
+    let server = two_model_server(ServeConfig::default());
+    let gateway = Gateway::start(
+        Arc::clone(&server),
+        GatewayConfig {
+            tokens: tokens(),
+            ..GatewayConfig::default()
+        },
+    )
+    .expect("start gateway");
+    let addr = gateway.local_addr();
+
+    let nested = "[".repeat(60_000);
+    let (code, _h, body) =
+        http_post(&addr, "/v1/query", &auth("tok-sprinkler"), &nested).expect("post");
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("\"bad_json\""), "{body}");
+
+    let query = format!(
+        r#"{{"query": "marginal", "evidence": {}}}"#,
+        evidence_json(&[None; 4])
+    );
+    let (code, _h, body) =
+        http_post(&addr, "/v1/query", &auth("tok-sprinkler"), &query).expect("post");
+    assert_eq!(code, 200, "{body}");
+}
+
 #[test]
 fn impossible_conditional_evidence_is_422() {
     // B is deterministically equal to A; observing A=0, B=1 has

@@ -1,27 +1,24 @@
-//! Kernel-dispatch conformance tests: the SIMD lane-chunked kernels and
-//! the fused superinstruction stream must be bit-identical to the scalar
-//! tape walk — same values, same sticky flags, per lane — for every
-//! semiring, every arithmetic, every chunk size and every remainder
-//! lane count. The scalar walk stays the reference; these tests are the
-//! license for the fast paths to exist.
+//! Kernel-dispatch conformance tests: the fused superinstruction stream
+//! — the default batch core of [`Engine`] — must be bit-identical to the
+//! scalar tape walk — same values, same sticky flags, per lane — for
+//! every semiring, every arithmetic, both tape modes, every chunk size
+//! and every remainder lane count. The scalar walk stays the reference
+//! (always pinned with `with_kernel(KernelKind::Scalar)`); these tests
+//! are the license for the fast path to exist.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use problp_ac::{compile, transform::binarize, Semiring};
 use problp_bayes::{networks, Evidence, EvidenceBatch, VarId};
-use problp_engine::{Engine, FusedInstr, FusedTape, KernelKind, Tape, LANE_WIDTH};
-use problp_num::{F64Arith, FixedArith, FixedFormat, Flags};
+use problp_engine::{Engine, FusedInstr, FusedTape, KernelKind, KernelSet, Tape, LANE_WIDTH};
+use problp_num::{F64Arith, FixedArith, FixedFormat, Flags, FloatArith, FloatFormat};
 
 const SEMIRINGS: [Semiring; 3] = [
     Semiring::SumProduct,
     Semiring::MaxProduct,
     Semiring::MinProduct,
 ];
-
-/// A random network's seed plus per-variable observation picks.
-fn net_and_picks() -> impl Strategy<Value = (u64, Vec<usize>)> {
-    (0u64..500, proptest::collection::vec(0usize..100, 7))
-}
 
 /// Builds a batch whose lanes cycle through single-variable
 /// observations plus an empty-evidence lane, so remainder lanes carry
@@ -93,54 +90,80 @@ fn assert_fused_stream_well_formed(tape: &Tape, fused: &FusedTape) {
     assert!(stats.fused_instrs <= stats.source_instrs);
 }
 
-/// Asserts that `flagged` per-lane flags OR together into the aggregate
-/// — the sticky-flag contract `evaluate_batch_flagged` documents.
-fn assert_lane_flags_consistent(flags: Flags, lane_flags: &[Flags]) {
-    let mut merged = Flags::new();
-    for &f in lane_flags {
-        merged.merge(f);
+/// A one-lane batch holding lane `lane` of `batch`.
+fn lane_batch(batch: &EvidenceBatch, lane: usize) -> EvidenceBatch {
+    EvidenceBatch::from_evidences(batch.var_count(), &[batch.evidence(lane)]).unwrap()
+}
+
+/// Checks that a default-built engine over `tape` (the fused kernel)
+/// matches the same engine pinned to [`KernelKind::Scalar`] bit for bit:
+/// every lane's value, the aggregate sticky flags, and each lane's own
+/// flags (swept alone, so no other lane can mask a raise).
+fn default_matches_scalar<A>(
+    tape: &Tape,
+    ctx: A,
+    batch: &EvidenceBatch,
+) -> Result<(), TestCaseError>
+where
+    A: KernelSet + Clone + Send + Sync,
+    A::Value: Clone + Send + Sync,
+{
+    let fast = Engine::new(tape.clone(), ctx);
+    prop_assert_eq!(fast.kernel(), KernelKind::Fused);
+    let reference = fast.clone().with_kernel(KernelKind::Scalar);
+    // The root bits and sticky flags of one batch sweep.
+    let sweep = |e: &Engine<A>, b: &EvidenceBatch| {
+        let r = e.evaluate_batch(b).unwrap();
+        let bits: Vec<u64> = r
+            .values
+            .iter()
+            .map(|v| e.context().to_f64(v).to_bits())
+            .collect();
+        (bits, r.flags)
+    };
+    prop_assert_eq!(sweep(&fast, batch), sweep(&reference, batch));
+    for lane in 0..batch.lanes() {
+        let one = lane_batch(batch, lane);
+        prop_assert_eq!(sweep(&fast, &one), sweep(&reference, &one), "lane {}", lane);
     }
-    assert_eq!(merged, flags, "aggregate flags != OR of per-lane flags");
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The headline property: on random circuits, the SIMD and fused
-    /// kernels return the scalar walk's f64 values bit for bit, with
-    /// identical sticky flags, for every semiring.
+    /// The headline property: on random circuits, the default engine
+    /// (fused kernel) returns the scalar kernel's values and flags bit
+    /// for bit, in f64, `fixed:2.14` and `float:8.13`, under every
+    /// semiring, on compact and full-values tapes.
     #[test]
-    fn simd_and_fused_match_scalar_f64(
-        (seed, _picks) in net_and_picks(),
-        lanes in 1usize..130,
+    fn default_engine_matches_scalar_kernel(
+        seed in 0u64..500,
+        lanes in 1usize..40,
     ) {
         let net = networks::random_network(seed, 7, 3, 3);
         let ac = compile(&net).unwrap();
         let batch = varied_batch(&net, lanes);
+        let fixed = FixedFormat::new(2, 14).unwrap();
+        let float = FloatFormat::new(8, 13).unwrap();
         for semiring in SEMIRINGS {
-            let engine = Engine::from_graph(&ac, semiring, F64Arith::new()).unwrap();
-            let reference = engine.evaluate_batch(&batch).unwrap();
-            for kernel in [KernelKind::Simd, KernelKind::Fused] {
-                let fast = engine.clone().with_kernel(kernel);
-                let got = fast.evaluate_batch(&batch).unwrap();
-                prop_assert_eq!(got.flags, reference.flags);
-                for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
-                    prop_assert_eq!(
-                        r.to_bits(), g.to_bits(),
-                        "{:?} {:?} lane {}: scalar {} vs {}",
-                        kernel, semiring, lane, r, g
-                    );
-                }
+            for tape in [
+                Tape::compile(&ac, semiring).unwrap(),
+                Tape::compile_full(&ac, semiring).unwrap(),
+            ] {
+                default_matches_scalar(&tape, F64Arith::new(), &batch)?;
+                default_matches_scalar(&tape, FixedArith::new(fixed), &batch)?;
+                default_matches_scalar(&tape, FloatArith::new(float), &batch)?;
             }
         }
     }
 
-    /// The same under fixed-point arithmetic, where the u128 fast path
-    /// replaces the wide-integer reference multiply: values and
-    /// *per-lane* sticky flags (inexact, overflow) are identical.
+    /// The same in narrow fixed-point formats, where the u128 fast path
+    /// replaces the wide-integer reference multiply and the per-lane
+    /// sticky flags (inexact, overflow) actually fire.
     #[test]
-    fn simd_and_fused_match_scalar_fixed(
-        (seed, _picks) in net_and_picks(),
+    fn fused_matches_scalar_in_narrow_fixed_formats(
+        seed in 0u64..500,
         lanes in 1usize..80,
         frac in 6u32..20,
     ) {
@@ -149,20 +172,8 @@ proptest! {
         let batch = varied_batch(&net, lanes);
         let format = FixedFormat::new(1, frac).unwrap();
         for semiring in SEMIRINGS {
-            let engine = Engine::from_graph(&ac, semiring, FixedArith::new(format)).unwrap();
-            let reference = engine.evaluate_batch_flagged(&batch).unwrap();
-            for kernel in [KernelKind::Simd, KernelKind::Fused] {
-                let fast = engine.clone().with_kernel(kernel);
-                let got = fast.evaluate_batch_flagged(&batch).unwrap();
-                prop_assert_eq!(got.flags, reference.flags, "{:?} {:?}", kernel, semiring);
-                prop_assert_eq!(&got.lane_flags, &reference.lane_flags);
-                for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
-                    prop_assert_eq!(
-                        r.to_f64().to_bits(), g.to_f64().to_bits(),
-                        "{:?} {:?} lane {}", kernel, semiring, lane
-                    );
-                }
-            }
+            let tape = Tape::compile(&ac, semiring).unwrap();
+            default_matches_scalar(&tape, FixedArith::new(format), &batch)?;
         }
     }
 
@@ -188,9 +199,9 @@ proptest! {
         }
     }
 
-    /// Results are independent of the lane-chunk size for every kernel:
+    /// Results are independent of the lane-chunk size for both kernels:
     /// chunk 1 (every lane is a remainder), 3 (odd), 8 (exactly one
-    /// SIMD chunk) and 1024 (whole batch in one chunk) agree bit for
+    /// vector chunk) and 1024 (whole batch in one chunk) agree bit for
     /// bit, flags included.
     #[test]
     fn chunk_size_never_changes_results(
@@ -201,7 +212,11 @@ proptest! {
         let ac = binarize(&compile(&net).unwrap()).unwrap();
         let batch = varied_batch(&net, lanes);
         let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
-        let reference = engine.evaluate_batch(&batch).unwrap();
+        let reference = engine
+            .clone()
+            .with_kernel(KernelKind::Scalar)
+            .evaluate_batch(&batch)
+            .unwrap();
         for kernel in KernelKind::ALL {
             for chunk in [1usize, 3, LANE_WIDTH, 1024] {
                 let e = engine.clone().with_kernel(kernel).with_chunk(chunk).with_threads(1);
@@ -232,54 +247,69 @@ fn remainder_lanes_match_scalar_values_and_flags() {
         let batch = varied_batch(&net, lanes);
         for semiring in SEMIRINGS {
             // Fixed point: inexact is sticky per lane.
-            let engine = Engine::from_graph(&ac, semiring, FixedArith::new(format)).unwrap();
-            let reference = engine.evaluate_batch_flagged(&batch).unwrap();
-            assert_lane_flags_consistent(reference.flags, &reference.lane_flags);
-            for kernel in [KernelKind::Simd, KernelKind::Fused] {
-                let fast = engine.clone().with_kernel(kernel);
-                let got = fast.evaluate_batch_flagged(&batch).unwrap();
-                assert_eq!(
-                    got.lane_flags, reference.lane_flags,
-                    "{kernel:?} {semiring:?}"
-                );
-                assert_eq!(got.flags, reference.flags);
-                for (lane, (r, g)) in reference.values.iter().zip(&got.values).enumerate() {
-                    assert_eq!(
-                        r.to_f64().to_bits(),
-                        g.to_f64().to_bits(),
-                        "{kernel:?} {semiring:?} lanes {lanes} lane {lane}"
-                    );
-                }
-            }
+            let tape = Tape::compile(&ac, semiring).unwrap();
+            default_matches_scalar(&tape, FixedArith::new(format), &batch).unwrap();
+            let flagged = Engine::new(tape, FixedArith::new(format))
+                .evaluate_batch_flagged(&batch)
+                .unwrap();
+            // The aggregate is the OR of the per-lane flags.
+            let mut merged = Flags::new();
+            flagged.lane_flags.iter().for_each(|f| merged.merge(*f));
+            assert_eq!(merged, flagged.flags, "{semiring:?}");
         }
     }
     // The low-precision format actually exercises the sticky path: at
     // 10 fractional bits the Alarm CPTs cannot all be exact.
-    let engine = Engine::from_graph(&ac, Semiring::SumProduct, FixedArith::new(format))
-        .unwrap()
-        .with_kernel(KernelKind::Simd);
+    let engine = Engine::from_graph(&ac, Semiring::SumProduct, FixedArith::new(format)).unwrap();
     let got = engine.evaluate_batch(&varied_batch(&net, 97)).unwrap();
     assert!(got.flags.inexact, "regression batch never went inexact");
 }
 
-/// The fused engine on a real circuit actually fuses something — the
+/// The default engine on a real circuit actually fuses something — the
 /// throughput claim rests on superinstructions existing, so an
-/// accidentally-empty pass must fail loudly here, not in the bench.
+/// accidentally-empty pass must fail loudly here, not in the bench —
+/// and `fuse_stats` reports exactly the stream its sweeps run.
 #[test]
 fn fusion_finds_superinstructions_on_alarm() {
     let net = networks::alarm(7);
     let ac = compile(&net).unwrap();
-    let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
-        .unwrap()
-        .with_kernel(KernelKind::Fused);
-    let stats = engine.fuse_stats().expect("fused engine exposes stats");
+    let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
+    assert_eq!(engine.kernel(), KernelKind::Fused);
+    let stats = engine.fuse_stats().expect("default engine exposes stats");
+    assert_eq!(stats, engine.tape().fuse().stats());
     assert!(stats.mul_accs > 0, "no MulAcc fused on alarm: {stats}");
     assert!(stats.reduces > 0, "no Reduce fused on alarm: {stats}");
     assert!(stats.fused_instrs < stats.source_instrs);
-    // Scalar and SIMD engines report no fused tape.
-    let scalar = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
+    // A scalar-pinned engine reports no fused tape.
+    let scalar = engine.with_kernel(KernelKind::Scalar);
     assert!(scalar.fused_tape().is_none());
-    assert_eq!(scalar.kernel(), KernelKind::Scalar);
+    assert!(scalar.fuse_stats().is_none());
+}
+
+/// The fused stream is built on the first fused batch sweep, never by
+/// the single-instance or per-lane-flag paths, which run the reference
+/// instruction stream.
+#[test]
+fn only_fused_batch_sweeps_build_the_fused_stream() {
+    let net = networks::asia();
+    let ac = compile(&net).unwrap();
+    let batch = varied_batch(&net, 11);
+    let evidence = batch.evidence(1);
+    let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
+    engine.evaluate_one(&evidence).unwrap();
+    engine.evaluate_batch_flagged(&batch).unwrap();
+    assert!(!engine.has_fused_tape());
+    let full = Engine::from_graph_full(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
+    full.evaluate_nodes_one(&evidence).unwrap();
+    assert!(!full.has_fused_tape());
+
+    engine.evaluate_batch(&batch).unwrap();
+    assert!(engine.has_fused_tape());
+    assert!(engine.clone().has_fused_tape(), "clones keep the stream");
+
+    let scalar = full.with_kernel(KernelKind::Scalar);
+    scalar.evaluate_batch(&batch).unwrap();
+    assert!(!scalar.has_fused_tape());
 }
 
 /// MPE and conditional serving agree across kernels: the scalar
@@ -298,34 +328,31 @@ fn queries_agree_across_kernels() {
         cond_batch.push(&e);
     }
 
-    let mpe_ref = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new())
-        .unwrap()
+    let mpe_engine = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new()).unwrap();
+    let cond_engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
+    let mpe_ref = mpe_engine
+        .clone()
+        .with_kernel(KernelKind::Scalar)
         .mpe_batch(&batch)
         .unwrap();
-    let cond_ref = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
-        .unwrap()
+    let cond_ref = cond_engine
+        .clone()
+        .with_kernel(KernelKind::Scalar)
         .conditional_batch(&cond_batch, query_var)
         .unwrap();
-    for kernel in [KernelKind::Simd, KernelKind::Fused] {
-        let mpe = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new())
-            .unwrap()
-            .with_kernel(kernel)
-            .mpe_batch(&batch)
-            .unwrap();
-        assert_eq!(mpe.assignments, mpe_ref.assignments, "{kernel:?}");
-        for (a, b) in mpe.values.iter().zip(&mpe_ref.values) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
-        }
-        let cond = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
-            .unwrap()
-            .with_kernel(kernel)
-            .conditional_batch(&cond_batch, query_var)
-            .unwrap();
-        assert_eq!(cond.predictions, cond_ref.predictions, "{kernel:?}");
-        for (p, q) in cond.posteriors.iter().zip(&cond_ref.posteriors) {
-            for (a, b) in p.iter().zip(q) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
-            }
+
+    let mpe = mpe_engine.mpe_batch(&batch).unwrap();
+    assert_eq!(mpe.assignments, mpe_ref.assignments);
+    for (a, b) in mpe.values.iter().zip(&mpe_ref.values) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    let cond = cond_engine
+        .conditional_batch(&cond_batch, query_var)
+        .unwrap();
+    assert_eq!(cond.predictions, cond_ref.predictions);
+    for (p, q) in cond.posteriors.iter().zip(&cond_ref.posteriors) {
+        for (a, b) in p.iter().zip(q) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

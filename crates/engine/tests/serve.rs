@@ -83,7 +83,7 @@ fn trace_strategy() -> impl Strategy<Value = (Vec<TracePick>, PolicyPick)> {
             (
                 any::<bool>(), // adaptive max_wait
                 0usize..3,     // cache pick: off | churning | ample
-                0usize..3,     // kernel pick: scalar | simd | fused
+                0usize..2,     // kernel pick: scalar | fused
             ),
         )
             .prop_map(

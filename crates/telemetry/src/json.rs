@@ -6,8 +6,16 @@
 //! Numbers are stored as `f64` (integers render without a fractional
 //! part when they round-trip exactly). Object keys keep insertion
 //! order, which keeps rendered snapshots diffable.
+//!
+//! The parser reads untrusted request bodies, so it bounds its own
+//! recursion: arrays and objects nest at most [`MAX_DEPTH`] levels, and
+//! deeper input fails with [`JsonErrorKind::TooDeep`] instead of
+//! overflowing the stack (which would abort the whole process).
 
 use std::fmt;
+
+/// The deepest array/object nesting [`JsonValue::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
@@ -141,10 +149,16 @@ impl JsonValue {
     }
 
     /// Parses JSON text.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonErrorKind::Syntax`] error for malformed text and
+    /// a [`JsonErrorKind::TooDeep`] error for arrays/objects nested
+    /// deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters after value"));
@@ -195,11 +209,22 @@ impl From<bool> for JsonValue {
     }
 }
 
+/// Why a parse failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not valid JSON.
+    Syntax,
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure with the byte offset it happened at.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset into the input where parsing failed.
     pub offset: usize,
+    /// The failure class.
+    pub kind: JsonErrorKind,
     /// What went wrong.
     pub message: String,
 }
@@ -208,6 +233,7 @@ impl JsonError {
     fn at(offset: usize, message: &str) -> Self {
         JsonError {
             offset,
+            kind: JsonErrorKind::Syntax,
             message: message.to_string(),
         }
     }
@@ -264,8 +290,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(JsonError {
+            offset: *pos,
+            kind: JsonErrorKind::TooDeep,
+            message: format!("arrays/objects nest deeper than {MAX_DEPTH} levels"),
+        });
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
         Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
@@ -281,7 +315,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
                 return Ok(JsonValue::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -309,7 +343,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
                     return Err(JsonError::at(*pos, "expected ':' after object key"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -408,4 +442,36 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .ok_or_else(|| JsonError::at(start, "invalid number"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nested(open: &str, close: &str, depth: usize) -> String {
+        format!("{}1{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_parses() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let doc = JsonValue::parse(&nested(open, close, MAX_DEPTH)).unwrap();
+            assert_ne!(doc, JsonValue::Number(1.0));
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_typed_error() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let err = JsonValue::parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::TooDeep, "{err}");
+            assert_eq!(err.offset, MAX_DEPTH * open.len());
+        }
+        // A gateway-sized body of unterminated brackets: typed error,
+        // not a stack overflow.
+        let err = JsonValue::parse(&"[".repeat(60_000)).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        let err = JsonValue::parse("[1,").unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::Syntax);
+    }
 }

@@ -54,7 +54,7 @@ pub use httpd::{
     drain_rejected, http_post, http_request, read_request, read_response, status_reason,
     write_response, HttpError, HttpLimits, HttpRequest, HttpResponse, WorkerPool,
 };
-pub use json::{JsonError, JsonValue};
+pub use json::{JsonError, JsonErrorKind, JsonValue};
 pub use registry::{
     default_latency_buckets_us, default_size_buckets, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry,
@@ -126,9 +126,10 @@ pub mod metric_names {
     /// compare against [`ENGINE_TAPE_INSTRS_TOTAL`] for the dispatch
     /// amplification fusion removed.
     pub const ENGINE_FUSED_INSTRS_TOTAL: &str = "problp_engine_fused_instrs_total";
-    /// Counter, label `kernel` ∈ {`scalar`, `simd`, `fused`}: dispatched
-    /// groups by the evaluator core that served them — the live mix of
-    /// kernel dispatch across the pool.
+    /// Counter, label `kernel` ∈ {`scalar`, `fused`}: dispatched groups
+    /// by the evaluator core that served them — the live mix of kernel
+    /// dispatch across the pool. `CircuitPool::new` pools stay on
+    /// `scalar` unless `CircuitPool::with_kernel` says otherwise.
     pub const ENGINE_KERNEL_DISPATCHES_TOTAL: &str = "problp_engine_kernel_dispatches_total";
     /// Counter, label `flag` ∈ {`overflow`, `underflow`, `inexact`,
     /// `invalid`}: groups whose evaluation raised the sticky flag.
