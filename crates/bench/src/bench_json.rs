@@ -1,7 +1,8 @@
 //! The machine-readable perf trajectory: `BENCH_<scenario>.json` files
-//! emitted by `reproduce` and `serve-sim`, so every future PR can diff
-//! its serving performance against this one's instead of eyeballing
-//! stdout tables.
+//! emitted by `reproduce`, `serve-sim` and `serve-http`, so every future
+//! PR can diff its serving performance against this one's instead of
+//! eyeballing stdout tables. Every emitter writes through
+//! [`crate::scenario::write_record`], which validates before it writes.
 //!
 //! One file per scenario, schema [`BENCH_SCHEMA`]. The required keys —
 //! enforced by [`validate_bench_json`], which CI runs on every emitted
@@ -20,9 +21,6 @@
 //! per-backend work stats) is scenario-specific and additive — readers
 //! must ignore keys they do not know. The `kernels` scenario also
 //! requires every extra [`kernels_bench_record`] writes.
-
-use std::io;
-use std::path::{Path, PathBuf};
 
 use problp_telemetry::{HistogramSnapshot, JsonValue};
 
@@ -92,18 +90,6 @@ impl BenchRecord {
         ];
         fields.extend(self.extra.iter().cloned());
         JsonValue::Object(fields)
-    }
-
-    /// Writes `BENCH_<scenario>.json` (pretty-printed) into `dir` and
-    /// returns the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the filesystem error on failure.
-    pub fn write_to(&self, dir: &Path) -> io::Result<PathBuf> {
-        let path = dir.join(self.file_name());
-        std::fs::write(&path, self.to_json().render_pretty())?;
-        Ok(path)
     }
 }
 
@@ -189,6 +175,16 @@ fn validate_kernels_extras(doc: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
+/// `count / secs`, or 0 for an untimed run: the one meaning of a
+/// record's `throughput_rps`.
+pub(crate) fn per_sec(count: usize, secs: f64) -> f64 {
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        0.0
+    }
+}
+
 /// [`BenchRecord`] for the mixed-tenant serving study
 /// (`BENCH_serving.json`): throughput of the pooled pass, sojourn
 /// percentiles from the study's histogram, and the scalar-replay
@@ -197,11 +193,7 @@ pub fn serving_bench_record(study: &crate::ServingStudy) -> BenchRecord {
     BenchRecord {
         scenario: "serving".to_string(),
         requests: study.requests as u64,
-        throughput_rps: if study.served_secs > 0.0 {
-            study.requests as f64 / study.served_secs
-        } else {
-            0.0
-        },
+        throughput_rps: per_sec(study.requests, study.served_secs),
         latency: Some(study.sojourn.clone()),
         rejects: 0,
         extra: vec![
@@ -227,11 +219,7 @@ pub fn cache_bench_record(study: &crate::CacheStudy) -> BenchRecord {
     BenchRecord {
         scenario: "cache".to_string(),
         requests: study.requests as u64,
-        throughput_rps: if study.cached_secs > 0.0 {
-            study.requests as f64 / study.cached_secs
-        } else {
-            0.0
-        },
+        throughput_rps: per_sec(study.requests, study.cached_secs),
         latency: Some(study.sojourn.clone()),
         rejects: 0,
         extra: vec![
@@ -286,9 +274,8 @@ pub fn qos_bench_record(study: &crate::QosStudy) -> BenchRecord {
     BenchRecord {
         scenario: "qos".to_string(),
         requests: study.requests as u64,
-        // The QoS study measures policy behavior, not wall time; its
-        // throughput dimension is admitted share instead.
-        throughput_rps: 0.0,
+        // Admitted requests per second, like the other serving records.
+        throughput_rps: per_sec(study.admitted, study.served_secs),
         latency: Some(study.sojourn.clone()),
         rejects: study.quota_rejected as u64,
         extra: vec![
@@ -411,11 +398,7 @@ pub fn verify_bench_record(study: &crate::VerifyStudy) -> BenchRecord {
     BenchRecord {
         scenario: "verify".to_string(),
         requests: total_instrs as u64,
-        throughput_rps: if total_wall > 0.0 {
-            total_instrs as f64 / total_wall
-        } else {
-            0.0
-        },
+        throughput_rps: per_sec(total_instrs, total_wall),
         latency: None,
         rejects: 0,
         extra: vec![
@@ -487,7 +470,7 @@ mod tests {
 
     #[test]
     fn serving_record_round_trips_and_validates() {
-        let study = crate::serving_study(40, SEED);
+        let study = crate::serving_study(40, SEED).expect("serves");
         let record = serving_bench_record(&study);
         assert_eq!(record.file_name(), "BENCH_serving.json");
         let text = record.to_json().render_pretty();
@@ -509,7 +492,7 @@ mod tests {
 
     #[test]
     fn cache_record_validates_and_the_books_are_deterministic() {
-        let study = crate::cache_study(18, 3, SEED);
+        let study = crate::cache_study(18, 3, SEED).expect("serves");
         assert_eq!(study.unique, 18);
         assert_eq!(study.requests, 54);
         // Round one misses each of the 18 distinct keys once; the drain
@@ -533,9 +516,10 @@ mod tests {
 
     #[test]
     fn qos_and_conformance_records_validate() {
-        let qos = qos_bench_record(&crate::qos_study(80, SEED));
+        let qos = qos_bench_record(&crate::qos_study(80, SEED).expect("serves"));
         validate_bench_json(&qos.to_json().render()).expect("qos record validates");
         assert!(qos.rejects > 0, "the QoS study must exercise the quota");
+        assert!(qos.throughput_rps > 0.0, "admitted requests per second");
         let conf = conformance_bench_record(&crate::conformance_study(8, SEED));
         let text = conf.to_json().render_pretty();
         validate_bench_json(&text).expect("conformance record validates");

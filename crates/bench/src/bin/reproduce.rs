@@ -8,21 +8,24 @@
 //!
 //! Subcommands: `table1`, `fig5a`, `fig5b`, `table2`, `ablations`,
 //! `accuracy`, `missing`, `throughput`, `kernels`, `serving`,
-//! `conformance`, `all`, plus `check-bench FILE...` (validate emitted
-//! `BENCH_*.json` files). Options: `--instances N` (test instances per
-//! benchmark, default 300; the paper uses 1000 for Alarm),
-//! `--write-experiments` (rewrite `EXPERIMENTS.md` from the measured
-//! results). The `kernels`, `serving` and `conformance` sections also
-//! write machine-readable `BENCH_kernels.json` / `BENCH_serving.json` /
-//! `BENCH_qos.json` / `BENCH_cache.json` / `BENCH_conformance.json`
-//! perf records into the working directory.
+//! `conformance`, `verify`, `all`, plus `check-bench FILE...` (validate
+//! emitted `BENCH_*.json` files). Options: `--instances N` (test
+//! instances per benchmark, default 300; the paper uses 1000 for Alarm),
+//! `--write-experiments` (write the measured results to
+//! `EXPERIMENTS.generated.md`). The `kernels`, `serving`, `conformance`
+//! and `verify` sections also write machine-readable
+//! `BENCH_kernels.json` / `BENCH_serving.json` / `BENCH_qos.json` /
+//! `BENCH_cache.json` / `BENCH_conformance.json` / `BENCH_verify.json`
+//! perf records into the working directory. Each record is validated
+//! before it is written; one that fails to validate or write exits
+//! non-zero.
 
 use problp_bench::{
     alarm_fixture, cache_bench_record, conformance_bench_record, figure5a, figure5b,
     kernels_bench_record, qos_bench_record, render_cache_report, render_conformance_report,
     render_kernel_study, render_qos_report, render_serving_report, render_sweep, render_table2,
-    serving_bench_record, table1, table2, validate_bench_json, verify_bench_record, BenchRecord,
-    SEED,
+    scenario::write_record, serving_bench_record, table1, table2, validate_bench_json,
+    verify_bench_record, BenchRecord, SEED,
 };
 
 struct Options {
@@ -86,11 +89,20 @@ fn check_bench(paths: &[String]) {
     }
 }
 
-/// Writes one `BENCH_<scenario>.json` into the working directory.
+/// Prints `msg` and exits 1: a runtime failure, not a usage error.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
+}
+
+/// Validates and writes one `BENCH_<scenario>.json` into the working
+/// directory; exits non-zero when it cannot, so a CI step never goes on
+/// to check a stale file.
 fn emit_bench(record: &BenchRecord) {
-    match record.write_to(std::path::Path::new(".")) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", record.file_name()),
+    let path = record.file_name();
+    match write_record(record, std::path::Path::new(&path)) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => fail(&e),
     }
 }
 
@@ -104,164 +116,144 @@ fn main() {
         return;
     }
     let mut sections: Vec<String> = Vec::new();
+    // Prints one rendered section and keeps it for --write-experiments.
+    let mut section = |title: &str, text: String| {
+        println!("{text}");
+        sections.push(format!("## {title}\n\n```text\n{text}```\n"));
+    };
+    let run = |names: &[&str]| names.contains(&opts.command.as_str()) || opts.command == "all";
 
-    if matches!(opts.command.as_str(), "table1" | "all") {
-        let t = table1();
-        println!("{t}");
-        sections.push(format!(
-            "## Table 1 — operator energy models\n\n```text\n{t}```\n"
-        ));
+    if run(&["table1"]) {
+        section("Table 1 — operator energy models", table1());
     }
 
-    let need_alarm = matches!(opts.command.as_str(), "fig5a" | "fig5b" | "all");
-    let fixture = need_alarm.then(|| {
+    let fixture = run(&["fig5a", "fig5b"]).then(|| {
         eprintln!(
             "building alarm fixture (seed {SEED}, {} instances)...",
             opts.instances
         );
         alarm_fixture(opts.instances)
     });
-
-    if matches!(opts.command.as_str(), "fig5a" | "all") {
-        let fixture = fixture.as_ref().expect("fixture built");
-        let points = figure5a(fixture, &SWEEP_BITS);
-        let t = render_sweep(
-            &format!(
-                "Figure 5(a): fixed-point marginal on Alarm, I=1, {} test instances — absolute error",
-                fixture.bench.test_len()
-            ),
-            "max obs.",
-            &points,
+    if let (true, Some(fixture)) = (run(&["fig5a"]), &fixture) {
+        let title = format!(
+            "Figure 5(a): fixed-point marginal on Alarm, I=1, {} test instances — absolute error",
+            fixture.bench.test_len()
         );
-        println!("{t}");
-        sections.push(format!(
-            "## Figure 5(a) — fixed-point bound vs observed error\n\n```text\n{t}```\n"
-        ));
+        section(
+            "Figure 5(a) — fixed-point bound vs observed error",
+            render_sweep(&title, "max obs.", &figure5a(fixture, &SWEEP_BITS)),
+        );
+    }
+    if let (true, Some(fixture)) = (run(&["fig5b"]), &fixture) {
+        let title = format!(
+            "Figure 5(b): floating-point marginal on Alarm, {} test instances — relative error",
+            fixture.bench.test_len()
+        );
+        section(
+            "Figure 5(b) — floating-point bound vs observed error",
+            render_sweep(&title, "max obs.", &figure5b(fixture, &SWEEP_BITS)),
+        );
     }
 
-    if matches!(opts.command.as_str(), "fig5b" | "all") {
-        let fixture = fixture.as_ref().expect("fixture built");
-        let points = figure5b(fixture, &SWEEP_BITS);
-        let t = render_sweep(
-            &format!(
-                "Figure 5(b): floating-point marginal on Alarm, {} test instances — relative error",
-                fixture.bench.test_len()
-            ),
-            "max obs.",
-            &points,
-        );
-        println!("{t}");
-        sections.push(format!(
-            "## Figure 5(b) — floating-point bound vs observed error\n\n```text\n{t}```\n"
-        ));
-    }
-
-    if matches!(opts.command.as_str(), "table2" | "all") {
+    if run(&["table2"]) {
         eprintln!(
             "running the full framework on all benchmarks ({} instances each)...",
             opts.instances
         );
-        let rows = table2(opts.instances);
-        let t = render_table2(&rows);
-        println!("{t}");
-        sections.push(format!(
-            "## Table 2 — overall performance\n\n```text\n{t}```\n"
-        ));
+        section(
+            "Table 2 — overall performance",
+            render_table2(&table2(opts.instances)),
+        );
     }
 
-    if matches!(opts.command.as_str(), "accuracy" | "all") {
-        let t = problp_bench::accuracy_report(opts.instances);
-        println!("{t}");
-        sections.push(format!("## Classification impact\n\n```text\n{t}```\n"));
-        let t = problp_bench::accuracy_study_report(&["HAR", "UNIMIB", "UIWADS"], opts.instances);
-        println!("{t}");
-        sections.push(format!(
-            "## Per-precision classifier accuracy (engine-served)\n\n```text\n{t}```\n"
-        ));
+    if run(&["accuracy"]) {
+        section(
+            "Classification impact",
+            problp_bench::accuracy_report(opts.instances),
+        );
+        section(
+            "Per-precision classifier accuracy (engine-served)",
+            problp_bench::accuracy_study_report(&["HAR", "UNIMIB", "UIWADS"], opts.instances),
+        );
     }
 
-    if matches!(opts.command.as_str(), "missing" | "all") {
-        let t = problp_bench::missing_data_report(opts.instances.min(100), 0.01);
-        println!("{t}");
-        sections.push(format!("## Missing-data robustness\n\n```text\n{t}```\n"));
+    if run(&["missing"]) {
+        section(
+            "Missing-data robustness",
+            problp_bench::missing_data_report(opts.instances.min(100), 0.01),
+        );
     }
 
-    if matches!(opts.command.as_str(), "throughput" | "all") {
-        let t = problp_bench::throughput_report(0);
-        println!("{t}");
-        sections.push(format!(
-            "## Engine throughput — batched vs scalar evaluation\n\n```text\n{t}```\n"
-        ));
+    if run(&["throughput"]) {
+        section(
+            "Engine throughput — batched vs scalar evaluation",
+            problp_bench::throughput_report(0),
+        );
     }
 
-    if matches!(opts.command.as_str(), "kernels" | "all") {
+    if run(&["kernels"]) {
         let study = problp_bench::kernel_study(1024);
-        let t = render_kernel_study(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## Evaluator kernels — scalar vs fused tape\n\n```text\n{t}```\n"
-        ));
+        section(
+            "Evaluator kernels — scalar vs fused tape",
+            render_kernel_study(&study),
+        );
         emit_bench(&kernels_bench_record(&study));
     }
 
-    if matches!(opts.command.as_str(), "serving" | "all") {
-        let study = problp_bench::serving_study(512, SEED);
-        let t = render_serving_report(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## Sharded multi-circuit serving — mixed-tenant workload\n\n```text\n{t}```\n"
-        ));
+    if run(&["serving"]) {
+        let study = problp_bench::serving_study(512, SEED)
+            .unwrap_or_else(|e| fail(&format!("serving study: {e}")));
+        section(
+            "Sharded multi-circuit serving — mixed-tenant workload",
+            render_serving_report(&study),
+        );
         emit_bench(&serving_bench_record(&study));
-        let study = problp_bench::qos_study(256, SEED);
-        let t = render_qos_report(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## QoS serving policy — hot-tenant quota + priority lanes + adaptive wait\n\n```text\n{t}```\n"
-        ));
+        let study =
+            problp_bench::qos_study(256, SEED).unwrap_or_else(|e| fail(&format!("QoS study: {e}")));
+        section(
+            "QoS serving policy — hot-tenant quota + priority lanes + adaptive wait",
+            render_qos_report(&study),
+        );
         emit_bench(&qos_bench_record(&study));
-        let study = problp_bench::cache_study(64, 4, SEED);
-        let t = render_cache_report(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## Exact answer caching — repeated mixed-tenant trace\n\n```text\n{t}```\n"
-        ));
+        let study = problp_bench::cache_study(64, 4, SEED)
+            .unwrap_or_else(|e| fail(&format!("cache study: {e}")));
+        section(
+            "Exact answer caching — repeated mixed-tenant trace",
+            render_cache_report(&study),
+        );
         emit_bench(&cache_bench_record(&study));
     }
 
-    if matches!(opts.command.as_str(), "conformance" | "all") {
+    if run(&["conformance"]) {
         let study = problp_bench::conformance_study(256, SEED);
-        let t = render_conformance_report(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## Differential conformance — engine vs hardware backends\n\n```text\n{t}```\n"
-        ));
+        section(
+            "Differential conformance — engine vs hardware backends",
+            render_conformance_report(&study),
+        );
         emit_bench(&conformance_bench_record(&study));
     }
 
-    if matches!(opts.command.as_str(), "verify" | "all") {
+    if run(&["verify"]) {
         let study = problp_bench::verify_study();
-        let t = problp_bench::render_verify_study(&study);
-        println!("{t}");
-        sections.push(format!(
-            "## Static analysis — tape verifier + range analysis\n\n```text\n{t}```\n"
-        ));
+        section(
+            "Static analysis — tape verifier + range analysis",
+            problp_bench::render_verify_study(&study),
+        );
         emit_bench(&verify_bench_record(&study));
     }
 
-    if matches!(opts.command.as_str(), "ablations" | "all") {
-        let t = problp_bench::ablation_report();
-        println!("{t}");
-        sections.push(format!(
-            "## Ablations — design choices\n\n```text\n{t}```\n"
-        ));
+    if run(&["ablations"]) {
+        section(
+            "Ablations — design choices",
+            problp_bench::ablation_report(),
+        );
     }
 
     if opts.write_experiments {
         let doc = format!(
             "# EXPERIMENTS — measured reproduction results\n\n\
              Generated by `cargo run --release -p problp-bench --bin reproduce -- {} --instances {}`\n\
-             (seed {SEED}). See `DESIGN.md` for the substitutions relative to the paper's setup\n\
-             and the bottom of this file for the paper-vs-measured discussion.\n\n{}",
+             (seed {SEED}).\n\n{}",
             opts.command,
             opts.instances,
             sections.join("\n")

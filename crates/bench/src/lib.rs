@@ -10,13 +10,16 @@
 //!   Table 2).
 //!
 //! The `reproduce` binary renders these as text tables and can emit the
-//! `EXPERIMENTS.md` report; the Criterion benches in `benches/` measure
-//! the runtime cost of each experiment's pipeline.
+//! `EXPERIMENTS.generated.md` report; the Criterion benches in `benches/`
+//! measure the runtime cost of each experiment's pipeline. The serving
+//! studies ([`serving_study`], [`qos_study`], [`cache_study`]) are
+//! presets of the one serving-scenario runner in [`scenario`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench_json;
+pub mod scenario;
 
 pub use bench_json::{
     cache_bench_record, conformance_bench_record, kernels_bench_record, qos_bench_record,
@@ -1196,49 +1199,27 @@ impl ServingStudy {
     }
 }
 
-/// The serving studies' shared fixture — the three tenants
-/// (Alarm + Asia + Sprinkler) as (name, network) pairs, their compiled
-/// circuits, and the per-model canonical evidence pools.
-#[allow(clippy::type_complexity)]
-fn serving_fixture(
-    seed: u64,
-) -> (
-    Vec<(String, problp_bayes::BayesNet)>,
-    Vec<AcGraph>,
-    Vec<Vec<problp_bayes::Evidence>>,
-) {
+/// The serving studies' three tenants: Alarm (the QoS study's hot
+/// tenant), Asia and Sprinkler.
+fn study_tenants(seed: u64) -> Result<Vec<scenario::Tenant>, problp_engine::ServeError> {
     use problp_bayes::networks;
-    let tenants = vec![
+    scenario::tenants(vec![
         ("alarm".to_string(), networks::alarm(seed)),
         ("asia".to_string(), networks::asia()),
         ("sprinkler".to_string(), networks::sprinkler()),
-    ];
-    let circuits: Vec<AcGraph> = tenants
-        .iter()
-        .map(|(_, net)| compile(net).expect("benchmark network compiles"))
-        .collect();
-    let pools = circuits
-        .iter()
-        .map(|ac| problp_bayes::single_variable_evidences(ac.var_arities()))
-        .collect();
-    (tenants, circuits, pools)
+    ])
+    .map_err(|e| problp_engine::EngineError::from(e).into())
 }
 
-/// One random query kind for `net` in the serving studies' canonical
-/// marginal/MPE/conditional mix.
-fn pick_query(
-    rng: &mut rand::rngs::StdRng,
-    net: &problp_bayes::BayesNet,
-) -> problp_bayes::BatchQuery {
-    use problp_bayes::BatchQuery;
-    use rand::Rng;
-    match rng.random_range(0..3u32) {
-        0 => BatchQuery::Marginal,
-        1 => BatchQuery::Mpe,
-        _ => BatchQuery::Conditional {
-            query_var: net.roots()[0],
-        },
-    }
+/// Starts a study server over `tenants` under `config`.
+fn study_server(
+    tenants: &[scenario::Tenant],
+    config: problp_engine::ServeConfig,
+) -> Result<problp_engine::Server<problp_num::F64Arith>, problp_engine::ServeError> {
+    Ok(problp_engine::Server::start(
+        scenario::register(tenants)?,
+        config,
+    ))
 }
 
 /// The p-th percentile (nearest rank) of an ascending-sorted sample of
@@ -1265,127 +1246,56 @@ pub fn percentile_us(sorted_us: &[u128], p: f64) -> Option<u128> {
 /// models and query kinds (marginal / MPE / conditional) coalesced by
 /// the admission queue, checked bit-identical against per-request
 /// evaluation and timed against the scalar tree-walk replay.
-pub fn serving_study(requests: usize, seed: u64) -> ServingStudy {
-    use problp_bayes::BatchQuery;
-    use problp_engine::{CircuitPool, ServeConfig, ServeRequest, Server};
-    use problp_num::F64Arith;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::{Duration, Instant};
+///
+/// # Errors
+///
+/// A tenant that fails to compile or register, or an admission error.
+pub fn serving_study(
+    requests: usize,
+    seed: u64,
+) -> Result<ServingStudy, problp_engine::ServeError> {
+    use problp_engine::ServeConfig;
+    use std::time::Duration;
 
-    let (tenants, circuits, pools) = serving_fixture(seed);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trace: Vec<(usize, ServeRequest)> = (0..requests.max(1))
-        .map(|_| {
-            let t = rng.random_range(0..tenants.len());
-            let (name, net) = &tenants[t];
-            let query = pick_query(&mut rng, net);
-            let pool = &pools[t];
-            let evidence = pool[rng.random_range(0..pool.len())].clone();
-            (
-                t,
-                ServeRequest {
-                    model: name.clone(),
-                    evidence,
-                    query,
-                    priority: problp_engine::Priority::Interactive,
-                },
-            )
-        })
-        .collect();
-
-    // Scalar replay: each request alone, on the tree-walk.
-    let scalar_start = Instant::now();
-    for (t, req) in &trace {
-        let ac = &circuits[*t];
-        match req.query {
-            BatchQuery::Marginal => {
-                std::hint::black_box(ac.evaluate(&req.evidence).expect("evaluates"));
-            }
-            BatchQuery::Mpe => {
-                std::hint::black_box(ac.mpe_assignment(&req.evidence).expect("decodes"));
-            }
-            BatchQuery::Conditional { query_var } => {
-                let den = ac.evaluate(&req.evidence).expect("evaluates");
-                for s in 0..ac.var_arities()[query_var.index()] {
-                    let mut with_q = req.evidence.clone();
-                    with_q.observe(query_var, s);
-                    std::hint::black_box(ac.evaluate(&with_q).expect("evaluates") / den);
-                }
-            }
-        }
-    }
-    let scalar_secs = scalar_start.elapsed().as_secs_f64();
-
-    // Pooled serving through the admission queue.
-    let mut pool = CircuitPool::new(F64Arith::new());
-    for ((name, _), ac) in tenants.iter().zip(&circuits) {
-        pool.register(name, ac).expect("registers");
-    }
-    let server = Server::start(
-        pool,
+    let tenants = study_tenants(seed)?;
+    let trace = scenario::trace(
+        &tenants,
+        requests,
+        seed,
+        scenario::Mix::Uniform { batch_share: 0 },
+    );
+    // Scalar replay: each request alone, on the tree-walk — the timing
+    // baseline and the bit-identity reference.
+    let scalar = scenario::scalar_replay(&tenants, &trace)?;
+    let server = study_server(
+        &tenants,
         ServeConfig {
             max_batch: 32,
             max_wait: Duration::from_micros(500),
             workers: 4,
             ..ServeConfig::default()
         },
-    );
-    let requests_only: Vec<ServeRequest> = trace.iter().map(|(_, r)| r.clone()).collect();
-    let sojourn = problp_telemetry::Histogram::new(problp_telemetry::default_latency_buckets_us());
-    let served_start = Instant::now();
-    // Submit the whole trace, then drain with one shared deadline
-    // budget: a wedged dispatcher fails the study (typed
-    // `ServeError::Timeout` slots) instead of hanging it, and each
-    // ticket's completion timestamp feeds the sojourn histogram.
-    let submitted: Vec<(Instant, _)> = requests_only
-        .iter()
-        .map(|r| (Instant::now(), server.submit(r.clone())))
-        .collect();
-    let drain_deadline = Instant::now() + Duration::from_secs(30);
-    let served: Vec<_> = submitted
-        .into_iter()
-        .map(|(enqueued, ticket)| match ticket {
-            Ok(t) => {
-                let (reply, completed) =
-                    t.wait_deadline_timed(drain_deadline.saturating_duration_since(Instant::now()));
-                sojourn.observe_duration(completed.saturating_duration_since(enqueued));
-                reply
-            }
-            Err(e) => Err(e),
-        })
-        .collect();
-    let served_secs = served_start.elapsed().as_secs_f64();
-    // Payload comparison: sticky flags are batch-scope by design.
-    let identical = requests_only
-        .iter()
-        .zip(&served)
-        .filter(|(req, got)| problp_engine::lane_answer_eq(&server.pool().serve_one(req), got))
-        .count();
+    )?;
+    let burst = scenario::run(&server, &trace)?;
+    let mismatched = scenario::mismatches(&tenants, server.pool(), &trace, &burst, &scalar);
     server.shutdown();
 
     let models = tenants
         .iter()
-        .map(|(name, net)| ServingModelRow {
-            model: name.clone(),
-            vars: net.var_count(),
-            requests: trace.iter().filter(|(_, r)| &r.model == name).count(),
+        .map(|t| ServingModelRow {
+            model: t.name.clone(),
+            vars: t.net.var_count(),
+            requests: trace.iter().filter(|r| r.model == t.name).count(),
         })
         .collect();
-    ServingStudy {
+    Ok(ServingStudy {
         models,
         requests: trace.len(),
-        identical,
-        scalar_secs,
-        served_secs,
-        sojourn: sojourn.snapshot(),
-    }
-}
-
-/// Runs [`serving_study`] and renders it as a text table.
-pub fn serving_report(requests: usize, seed: u64) -> String {
-    render_serving_report(&serving_study(requests, seed))
+        identical: burst.admitted() - mismatched.len(),
+        scalar_secs: scalar.iter().map(|(_, d)| d.as_secs_f64()).sum(),
+        served_secs: burst.secs,
+        sojourn: burst.latency(),
+    })
 }
 
 /// The result of [`cache_study`]: the same repeated mixed-tenant trace
@@ -1442,13 +1352,19 @@ impl CacheStudy {
 /// once with `cache_capacity: 0` and once with ample capacity. The
 /// cached pass must reproduce the cache-off pass bit for bit — a hit
 /// replays the memoized payload, it never re-derives it.
-pub fn cache_study(unique: usize, rounds: usize, seed: u64) -> CacheStudy {
-    use problp_bayes::BatchQuery;
-    use problp_engine::{CircuitPool, Priority, ServeConfig, ServeRequest, Server};
-    use problp_num::F64Arith;
-    use std::time::{Duration, Instant};
+///
+/// # Errors
+///
+/// A tenant that fails to compile or register, or an admission error.
+pub fn cache_study(
+    unique: usize,
+    rounds: usize,
+    seed: u64,
+) -> Result<CacheStudy, problp_engine::ServeError> {
+    use problp_engine::{ServeConfig, ServeRequest};
+    use std::time::Duration;
 
-    let (tenants, circuits, pools) = serving_fixture(seed);
+    let tenants = study_tenants(seed)?;
     let unique = unique.max(1);
     let rounds = rounds.max(2);
 
@@ -1461,43 +1377,35 @@ pub fn cache_study(unique: usize, rounds: usize, seed: u64) -> CacheStudy {
     while base.len() < unique {
         let t = i % tenants.len();
         i += 1;
-        let pool = &pools[t];
+        let pool = &tenants[t].evidence;
         let slot = cursor[t];
         if slot >= pool.len() * 3 {
-            if cursor.iter().zip(&pools).all(|(c, p)| *c >= p.len() * 3) {
+            if cursor
+                .iter()
+                .zip(&tenants)
+                .all(|(c, t)| *c >= t.evidence.len() * 3)
+            {
                 break; // every tenant's key space is exhausted
             }
             continue;
         }
         cursor[t] += 1;
-        let (name, net) = &tenants[t];
-        let query = match slot / pool.len() {
-            0 => BatchQuery::Marginal,
-            1 => BatchQuery::Mpe,
-            _ => BatchQuery::Conditional {
-                query_var: net.roots()[0],
-            },
-        };
         base.push(ServeRequest {
-            model: name.clone(),
+            model: tenants[t].name.clone(),
             evidence: pool[slot % pool.len()].clone(),
-            query,
-            priority: Priority::Interactive,
+            query: tenants[t].query(slot / pool.len()),
+            priority: problp_engine::Priority::Interactive,
         });
     }
     let unique = base.len();
 
-    // One pass: submit each round as a burst, drain it, repeat. The
-    // drain barrier between rounds makes the cached pass deterministic:
-    // by the time round `r + 1` submits, every round-`r` dispatch has
-    // filled the cache.
+    // One pass: each round is a burst drained before the next. The
+    // drain barrier makes the cached pass deterministic: by the time
+    // round `r + 1` submits, every round-`r` dispatch has filled the
+    // cache.
     let run_pass = |capacity: usize| {
-        let mut pool = CircuitPool::new(F64Arith::new());
-        for ((name, _), ac) in tenants.iter().zip(&circuits) {
-            pool.register(name, ac).expect("registers");
-        }
-        let server = Server::start(
-            pool,
+        let server = study_server(
+            &tenants,
             ServeConfig {
                 max_batch: 32,
                 max_wait: Duration::from_micros(500),
@@ -1505,60 +1413,54 @@ pub fn cache_study(unique: usize, rounds: usize, seed: u64) -> CacheStudy {
                 cache_capacity: capacity,
                 ..ServeConfig::default()
             },
-        );
-        let sojourn =
-            problp_telemetry::Histogram::new(problp_telemetry::default_latency_buckets_us());
-        let mut answers = Vec::with_capacity(unique * rounds);
-        let start = Instant::now();
+        )?;
+        let mut pass = scenario::Burst::default();
         for _ in 0..rounds {
-            let submitted: Vec<(Instant, _)> = base
-                .iter()
-                .map(|r| (Instant::now(), server.submit(r.clone())))
-                .collect();
-            let deadline = Instant::now() + Duration::from_secs(30);
-            for (enqueued, ticket) in submitted {
-                match ticket {
-                    Ok(t) => {
-                        let (reply, completed) = t.wait_deadline_timed(
-                            deadline.saturating_duration_since(Instant::now()),
-                        );
-                        sojourn.observe_duration(completed.saturating_duration_since(enqueued));
-                        answers.push(reply);
-                    }
-                    Err(e) => answers.push(Err(e)),
-                }
-            }
+            pass.append(scenario::run(&server, &base)?);
         }
-        let secs = start.elapsed().as_secs_f64();
         let stats = server.stats();
         server.shutdown();
-        (secs, answers, stats, sojourn.snapshot())
+        Ok::<_, problp_engine::ServeError>((pass, stats))
     };
 
-    let (cold_secs, cold, _, _) = run_pass(0);
-    let (cached_secs, cached, stats, sojourn) = run_pass(unique * 2);
+    let (cold, _) = run_pass(0)?;
+    let (cached, stats) = run_pass(unique * 2)?;
     let identical = cold
+        .outcomes
         .iter()
-        .zip(&cached)
-        .filter(|(a, b)| problp_engine::lane_answer_eq(a, b))
+        .zip(&cached.outcomes)
+        .filter(|(a, b)| match (a, b) {
+            (Some((a, _)), Some((b, _))) => problp_engine::lane_answer_eq(a, b),
+            _ => false,
+        })
         .count();
-    CacheStudy {
+    Ok(CacheStudy {
         unique,
         rounds,
         requests: unique * rounds,
         identical,
-        cold_secs,
-        cached_secs,
+        cold_secs: cold.secs,
+        cached_secs: cached.secs,
         cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
         cache_evictions: stats.cache_evictions,
-        sojourn,
-    }
+        sojourn: cached.latency(),
+    })
 }
 
-/// Runs [`cache_study`] and renders it as a text table.
-pub fn cache_report(unique: usize, rounds: usize, seed: u64) -> String {
-    render_cache_report(&cache_study(unique, rounds, seed))
+/// One `label (us): p50 .. | p90 .. | p99 .. | max ..` report line.
+fn sojourn_line(label: &str, h: &problp_telemetry::HistogramSnapshot) -> String {
+    let q = |p: f64| {
+        h.quantile(p)
+            .map_or_else(|| "-".to_string(), |us| us.to_string())
+    };
+    format!(
+        "{label} (us): p50 {} | p90 {} | p99 {} | max {}\n",
+        q(50.0),
+        q(90.0),
+        q(99.0),
+        h.max
+    )
 }
 
 /// Renders an already-run cache study as a text table (so callers can
@@ -1586,19 +1488,7 @@ pub fn render_cache_report(study: &CacheStudy) -> String {
         study.cached_secs * 1e3,
         study.speedup()
     ));
-    let fmt_q = |p: f64| {
-        study
-            .sojourn
-            .quantile(p)
-            .map_or_else(|| "-".to_string(), |us| us.to_string())
-    };
-    out.push_str(&format!(
-        "cached-pass sojourn (us): p50 {} | p90 {} | p99 {} | max {}\n",
-        fmt_q(50.0),
-        fmt_q(90.0),
-        fmt_q(99.0),
-        study.sojourn.max
-    ));
+    out.push_str(&sojourn_line("cached-pass sojourn", &study.sojourn));
     out
 }
 
@@ -1634,19 +1524,7 @@ pub fn render_serving_report(study: &ServingStudy) -> String {
         study.served_secs * 1e3,
         study.speedup()
     ));
-    let fmt_q = |p: f64| {
-        study
-            .sojourn
-            .quantile(p)
-            .map_or_else(|| "-".to_string(), |us| us.to_string())
-    };
-    out.push_str(&format!(
-        "sojourn latency (us): p50 {} | p90 {} | p99 {} | max {}\n",
-        fmt_q(50.0),
-        fmt_q(90.0),
-        fmt_q(99.0),
-        study.sojourn.max
-    ));
+    out.push_str(&sojourn_line("sojourn latency", &study.sojourn));
     out
 }
 
@@ -1688,6 +1566,8 @@ pub struct QosStudy {
     pub identical: usize,
     /// Per-priority-class latency rows.
     pub classes: Vec<QosClassRow>,
+    /// Wall time of the served burst, seconds.
+    pub served_secs: f64,
     /// All admitted requests' sojourn latencies as one fixed-bucket
     /// histogram — the source of the `BENCH_qos.json` percentiles.
     pub sojourn: problp_telemetry::HistogramSnapshot,
@@ -1700,53 +1580,32 @@ pub struct QosStudy {
 /// coalescing wait. Checks that every admitted answer is bit-identical
 /// to per-request evaluation, that quota rejections hit only the hot
 /// tenant, and reports per-class latency percentiles.
-pub fn qos_study(requests: usize, seed: u64) -> QosStudy {
-    use problp_engine::{CircuitPool, Priority, ServeConfig, ServeError, ServeRequest, Server};
-    use problp_num::F64Arith;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::{Duration, Instant};
+///
+/// # Errors
+///
+/// A tenant that fails to compile or register, or an admission error
+/// other than the quota's.
+pub fn qos_study(requests: usize, seed: u64) -> Result<QosStudy, problp_engine::ServeError> {
+    use problp_engine::{Priority, ServeConfig};
+    use std::time::Duration;
 
-    let (tenants, circuits, evidence_pools) = serving_fixture(seed);
-
+    let tenants = study_tenants(seed)?;
     // ~70% of the trace hammers Alarm on the Interactive lane (the hot
     // tenant); the rest is Batch-priority background traffic on the
     // small models.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trace: Vec<ServeRequest> = (0..requests.max(1))
-        .map(|_| {
-            let hot = rng.random_range(0..10u32) < 7;
-            let t = if hot {
-                0
-            } else {
-                1 + rng.random_range(0..2usize)
-            };
-            let (name, net) = &tenants[t];
-            let query = pick_query(&mut rng, net);
-            let pool = &evidence_pools[t];
-            ServeRequest {
-                model: name.clone(),
-                evidence: pool[rng.random_range(0..pool.len())].clone(),
-                query,
-                priority: if hot {
-                    Priority::Interactive
-                } else {
-                    Priority::Batch
-                },
-            }
-        })
-        .collect();
-
-    let mut pool = CircuitPool::new(F64Arith::new());
-    for ((name, _), ac) in tenants.iter().zip(&circuits) {
-        pool.register(name, ac).expect("registers");
-    }
+    let trace = scenario::trace(
+        &tenants,
+        requests,
+        seed,
+        scenario::Mix::Hot { hot_share: 70 },
+    );
+    let scalar = scenario::scalar_replay(&tenants, &trace)?;
     // A quota above each background tenant's *total* trace share (~15%
     // per model) but far below the hot tenant's ~70% flood: only the
     // hot tenant can ever trip it, regardless of drain timing.
     let quota = (requests.max(1) / 4).max(8);
-    let server = Server::start(
-        pool,
+    let server = study_server(
+        &tenants,
         ServeConfig {
             max_batch: 16,
             max_wait: Duration::from_micros(300),
@@ -1756,62 +1615,21 @@ pub fn qos_study(requests: usize, seed: u64) -> QosStudy {
             adaptive_wait: true,
             ..ServeConfig::default()
         },
-    );
+    )?;
+    // The whole trace as one burst: the burst makes the quota bite.
+    let burst = scenario::run(&server, &trace)?;
+    let mismatched = scenario::mismatches(&tenants, server.pool(), &trace, &burst, &scalar);
+    server.shutdown();
 
-    // Submit the whole trace up front (the burst that makes the quota
-    // bite), then drain with a deadline so a wedged dispatcher can
-    // never hang the study.
-    let mut quota_rejected = 0usize;
-    let mut hot_tenant_rejected = 0usize;
-    let submitted: Vec<(Instant, Result<_, ServeError>)> = trace
+    let hot_tenant_rejected = trace
         .iter()
-        .map(|req| (Instant::now(), server.submit(req.clone())))
-        .collect();
-    let mut outcomes = Vec::with_capacity(submitted.len());
-    let sojourn = problp_telemetry::Histogram::new(problp_telemetry::default_latency_buckets_us());
-    // One shared drain budget: a wedged dispatcher fails the study in
-    // ~30s total, not 30s per ticket.
-    let drain_deadline = Instant::now() + Duration::from_secs(30);
-    for (enqueued, ticket) in submitted {
-        match ticket {
-            Ok(t) => {
-                let (reply, completed) =
-                    t.wait_deadline_timed(drain_deadline.saturating_duration_since(Instant::now()));
-                let waited = completed.saturating_duration_since(enqueued);
-                sojourn.observe_duration(waited);
-                let sojourn_us = waited.as_micros();
-                outcomes.push(Some((reply, sojourn_us)));
-            }
-            Err(ServeError::QuotaExceeded { model, .. }) => {
-                quota_rejected += 1;
-                if model == "alarm" {
-                    hot_tenant_rejected += 1;
-                }
-                outcomes.push(None);
-            }
-            Err(e) => panic!("unexpected admission error: {e}"),
-        }
-    }
-
-    let identical = trace
-        .iter()
-        .zip(&outcomes)
-        .filter(|(req, outcome)| match outcome {
-            Some((reply, _)) => problp_engine::lane_answer_eq(&server.pool().serve_one(req), reply),
-            None => false,
-        })
+        .zip(&burst.outcomes)
+        .filter(|(req, outcome)| outcome.is_none() && req.model == tenants[0].name)
         .count();
-
     let classes = [Priority::Interactive, Priority::Batch]
         .iter()
         .map(|class| {
-            let mut latencies: Vec<u128> = trace
-                .iter()
-                .zip(&outcomes)
-                .filter(|(req, o)| req.priority == *class && o.is_some())
-                .map(|(_, o)| o.as_ref().expect("filtered Some").1)
-                .collect();
-            latencies.sort_unstable();
+            let latencies = burst.sorted_us(&trace, |r| r.priority == *class);
             QosClassRow {
                 class: class.to_string(),
                 requests: trace.iter().filter(|r| r.priority == *class).count(),
@@ -1821,24 +1639,17 @@ pub fn qos_study(requests: usize, seed: u64) -> QosStudy {
             }
         })
         .collect();
-    server.shutdown();
-
-    let admitted = outcomes.iter().filter(|o| o.is_some()).count();
-    QosStudy {
+    Ok(QosStudy {
         requests: trace.len(),
         quota,
-        admitted,
-        quota_rejected,
+        admitted: burst.admitted(),
+        quota_rejected: burst.rejects(),
         hot_tenant_rejected,
-        identical,
+        identical: burst.admitted() - mismatched.len(),
         classes,
-        sojourn: sojourn.snapshot(),
-    }
-}
-
-/// Runs [`qos_study`] and renders it as a text table.
-pub fn qos_report(requests: usize, seed: u64) -> String {
-    render_qos_report(&qos_study(requests, seed))
+        served_secs: burst.secs,
+        sojourn: burst.latency(),
+    })
 }
 
 /// Renders an already-run QoS study as a text table (so callers can
@@ -2076,18 +1887,18 @@ mod tests {
 
     #[test]
     fn serving_study_is_bit_identical_and_reports() {
-        let study = serving_study(90, SEED);
+        let study = serving_study(90, SEED).expect("serves");
         assert_eq!(study.requests, 90);
         assert_eq!(study.identical, study.requests);
         assert_eq!(study.models.len(), 3);
-        let report = serving_report(60, SEED);
+        let report = render_serving_report(&serving_study(60, SEED).expect("serves"));
         assert!(report.contains("alarm"));
         assert!(report.contains("bit-identical to per-request evaluation: 60/60"));
     }
 
     #[test]
     fn qos_study_rejects_only_the_hot_tenant_and_stays_bit_identical() {
-        let study = qos_study(200, SEED);
+        let study = qos_study(200, SEED).expect("serves");
         assert_eq!(study.requests, 200);
         assert_eq!(study.quota, 50);
         // Quota pressure comes from the burst-submitted hot tenant —
@@ -2105,7 +1916,8 @@ mod tests {
         assert_eq!(batch.class, "batch");
         // Background Batch traffic is never quota-rejected.
         assert_eq!(batch.admitted, batch.requests);
-        let report = qos_report(120, SEED);
+        assert!(study.served_secs > 0.0);
+        let report = render_qos_report(&qos_study(120, SEED).expect("serves"));
         assert!(report.contains("interactive"));
         assert!(report.contains("quota rejects"));
         assert!(report.contains("all on the hot tenant: yes"));

@@ -13,7 +13,14 @@
 //! problp serve-sim  --models sprinkler,asia [--requests 512] [--max-batch 32]
 //!                   [--max-wait-us 500] [--workers 4] [--seed 7]
 //!                   [--tenant-quota 0] [--batch-share 0] [--aging-us 20000]
-//!                   [--adaptive-wait] [--metrics-addr 127.0.0.1:0]
+//!                   [--adaptive-wait] [--cache-capacity 0]
+//!                   [--reload-mid-trace] [--metrics-addr 127.0.0.1:0]
+//!                   [--linger-ms 0] [--bench-json FILE]
+//! problp serve-http --models sprinkler,asia [--addr 127.0.0.1:0]
+//!                   [--tokens TOK=MODEL,...] [--http-workers 4]
+//!                   [--max-batch 32] [--max-wait-us 500] [--workers 4]
+//!                   [--tenant-quota 0] [--cache-capacity 0] [--seed 7]
+//!                   [--self-drive N] [--metrics-addr 127.0.0.1:0]
 //!                   [--linger-ms 0] [--bench-json FILE]
 //! problp conformance [--models alarm,asia] [--random 2] [--batch 256]
 //!                   [--seed 7] [--repr f64,fixed:2.14,float:8.13]
@@ -23,6 +30,9 @@
 //!                   [--seed 7] [--corrupt oob-reg|slot-oob|param-write|truncate]
 //! problp lint-src   [--allow ci/lint-allow.txt]
 //! ```
+//!
+//! Every valued flag needs its value: a missing or malformed one prints
+//! the usage and exits 2.
 //!
 //! Networks use the plain-text `.bn` format of [`problp::bayes::io`].
 //! `throughput` measures bulk-inference rates — the scalar tree-walk
@@ -48,20 +58,32 @@
 //! that percentage of the trace to the `Batch` priority lane,
 //! `--aging-us` is the anti-starvation promotion bound, and
 //! `--adaptive-wait` shrinks the coalescing wait of hot streams.
-//! `--models` takes built-in network names
+//! `--cache-capacity N` turns on the exact answer cache (then a slice
+//! of served requests is replayed and must hit, bit-identical), and
+//! `--reload-mid-trace` hot-swaps the first model halfway through the
+//! trace. `--models` takes built-in network names
 //! (`figure1|sprinkler|asia|student|earthquake|cancer|alarm`) or `.bn`
 //! paths, comma-separated.
 //!
+//! `serve-http` puts the `POST /v1/query` gateway in front of the same
+//! pooled server; bearer tokens map to models (`--tokens`, default one
+//! `token-<model>` per model). With `--self-drive N` it replays an
+//! `N`-request seeded trace through real sockets, checks every answer
+//! bit-identical, probes the typed-error statuses
+//! (401/404/405/400/413/429) and cross-checks the gateway counters, then
+//! exits. Both serving commands run on the one serving-scenario runner
+//! of `problp::bench::scenario`.
+//!
 //! With `--metrics-addr HOST:PORT` (port 0 picks a free port),
-//! `serve-sim` also starts the `problp::telemetry` observability
-//! sidecar on that address — `/metrics` (Prometheus text),
-//! `/healthz`, `/statz` (JSON) — backed by the server's live metric
-//! registry, scrapes it once itself mid-trace as a self-check, and
-//! prints the bound address so external scrapers can follow.
-//! `--linger-ms N` keeps the sidecar (and the server) up for N extra
-//! milliseconds after the trace completes, and `--bench-json FILE`
-//! writes the run's machine-readable `problp-bench/v1` perf record
-//! (validated by `reproduce check-bench`).
+//! `serve-sim` and `serve-http` also start the `problp::telemetry`
+//! observability sidecar on that address — `/metrics` (Prometheus
+//! text), `/healthz`, `/statz` (JSON) — backed by the server's live
+//! metric registry; `serve-sim` scrapes it itself mid-trace as a
+//! self-check. The bound address is printed so external scrapers can
+//! follow. `--linger-ms N` keeps the sidecar (and the server) up for N
+//! extra milliseconds after the run, and `--bench-json FILE` writes the
+//! run's machine-readable `problp-bench/v1` perf record (validated
+//! before it is written, and by `reproduce check-bench`).
 //!
 //! `conformance` runs the differential cross-check of
 //! `problp::conformance`: the same seeded evidence batch is evaluated on
@@ -86,25 +108,23 @@
 //! outcome.
 //!
 //! `lint-src` enforces the serving-path panic policy: no `.unwrap()` /
-//! `.expect(` in the non-test code of `crates/engine/src/serve.rs` and
-//! `crates/telemetry/src` (scanning stops at the first `#[cfg(test)]`
-//! line of each file). Exceptions live in `ci/lint-allow.txt` as
-//! `file-suffix: line-substring` entries. Run it from the repository
-//! root; non-zero exit on any violation.
+//! `.expect(` in the non-test code of the `crates/engine/src/serve/`
+//! modules and `crates/telemetry/src` (scanning stops at the first
+//! `#[cfg(test)]` line of each file). Exceptions live in
+//! `ci/lint-allow.txt` as `file-suffix: line-substring` entries. Run it
+//! from the repository root; non-zero exit on any violation.
 
-use std::path::PathBuf;
+use std::error::Error;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use problp::ac::transform::binarize;
+use problp::bench::scenario::{self, Mix};
+use problp::engine::{KernelKind, LaneResult, ServeError};
 use problp::prelude::*;
-
-struct RunArgs {
-    network: PathBuf,
-    query: QueryType,
-    tolerance: Tolerance,
-    out_dir: PathBuf,
-    optimize: bool,
-}
+use problp::telemetry::{MetricsRegistry, Sidecar};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -160,418 +180,256 @@ fn parse_query(spec: &str) -> Option<QueryType> {
     }
 }
 
-fn load_network(path: &PathBuf) -> Result<BayesNet, String> {
+fn load_network(path: &Path) -> Result<BayesNet, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     problp::bayes::io::from_text(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        return usage();
-    };
-    let mut network: Option<PathBuf> = None;
-    let mut query = QueryType::Marginal;
-    let mut query_var: Option<String> = None;
-    let mut tolerance = Tolerance::Absolute(0.01);
-    let mut out_dir = PathBuf::from(".");
-    let mut dot: Option<PathBuf> = None;
-    let mut optimize = false;
-    // `--batch`: throughput defaults to 1024 lanes, conformance to 256.
-    let mut batch: Option<usize> = None;
-    let mut threads = 0usize;
-    let mut dataset: Option<String> = None;
-    let mut instances = 300usize;
-    let mut models: Option<String> = None;
-    let mut requests = 512usize;
-    let mut max_batch = 32usize;
-    let mut max_wait_us = 500u64;
-    let mut workers = 4usize;
-    let mut seed = 7u64;
-    let mut tenant_quota = 0usize;
-    let mut batch_share = 0u64;
-    let mut aging_us = 20_000u64;
-    let mut adaptive_wait = false;
-    let mut cache_capacity = 0usize;
-    let mut reload_mid_trace = false;
-    let mut metrics_addr: Option<String> = None;
-    let mut linger_ms = 0u64;
-    let mut bench_json: Option<PathBuf> = None;
-    let mut random: Option<usize> = None;
-    let mut repr: Option<String> = None;
-    let mut inject_fault: Option<String> = None;
-    let mut corrupt: Option<String> = None;
-    let mut allow = PathBuf::from("ci/lint-allow.txt");
-    let mut kernel = problp::engine::KernelKind::default();
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut tokens: Option<String> = None;
-    let mut http_workers = 4usize;
-    let mut self_drive: Option<usize> = None;
-    let mut it = args[1..].iter();
+/// Every command-line flag with its default; each command reads the
+/// ones it uses.
+struct Opts {
+    network: Option<PathBuf>,
+    query: QueryType,
+    query_var: Option<String>,
+    tolerance: Tolerance,
+    out_dir: PathBuf,
+    dot: Option<PathBuf>,
+    optimize: bool,
+    /// `--batch`: throughput defaults to 1024 lanes, conformance to 256.
+    batch: Option<usize>,
+    threads: usize,
+    dataset: Option<String>,
+    instances: usize,
+    /// Comma-separated built-in network names or `.bn` paths.
+    models: Option<String>,
+    requests: usize,
+    max_batch: usize,
+    max_wait_us: u64,
+    workers: usize,
+    seed: u64,
+    /// Per-model cap on queued + in-flight lanes (0 = no quota).
+    tenant_quota: usize,
+    /// Percentage of the serve-sim trace routed to the `Batch` lane.
+    batch_share: u64,
+    /// Anti-starvation promotion bound of the priority lanes, µs.
+    aging_us: u64,
+    /// Shrink the coalescing wait of hot streams (EWMA-driven).
+    adaptive_wait: bool,
+    /// Exact answer-cache capacity in entries (0 = cache off).
+    cache_capacity: usize,
+    /// Hot-swap the first model halfway through the serve-sim trace
+    /// ([`Server::reload`]): recompiles the same graph, so answers stay
+    /// bit-identical while the version bumps and the cut-over runs.
+    reload_mid_trace: bool,
+    /// Bind the `/metrics` + `/healthz` sidecar here (port 0 = any).
+    metrics_addr: Option<String>,
+    /// Keep the sidecar and server alive this long after the run.
+    linger_ms: u64,
+    /// Write the run's `problp-bench/v1` perf record here.
+    bench_json: Option<PathBuf>,
+    /// Seeded random networks for conformance (`None` = 2 without
+    /// `--models`, else 0).
+    random: Option<usize>,
+    /// Comma-separated arithmetics (`f64 | fixed:I.F | float:E.M`).
+    repr: Option<String>,
+    /// Corrupt this conformance backend's stream (harness self-test).
+    inject_fault: Option<String>,
+    /// Mutate each tape before `verify` (red-path self-test); the run
+    /// then *must* fail.
+    corrupt: Option<String>,
+    allow: PathBuf,
+    kernel: KernelKind,
+    /// Gateway bind address (`host:port`; port 0 = OS-assigned).
+    addr: String,
+    /// `TOK=MODEL` pairs; `None` mints `token-<model>` per model.
+    tokens: Option<String>,
+    /// Gateway connection-handling worker threads.
+    http_workers: usize,
+    /// `Some(n)`: replay an `n`-request seeded trace through real
+    /// sockets, self-check and exit. `None`: serve until killed.
+    self_drive: Option<usize>,
+}
+
+impl Default for Opts {
+    fn default() -> Self {
+        Opts {
+            network: None,
+            query: QueryType::Marginal,
+            query_var: None,
+            tolerance: Tolerance::Absolute(0.01),
+            out_dir: PathBuf::from("."),
+            dot: None,
+            optimize: false,
+            batch: None,
+            threads: 0,
+            dataset: None,
+            instances: 300,
+            models: None,
+            requests: 512,
+            max_batch: 32,
+            max_wait_us: 500,
+            workers: 4,
+            seed: 7,
+            tenant_quota: 0,
+            batch_share: 0,
+            aging_us: 20_000,
+            adaptive_wait: false,
+            cache_capacity: 0,
+            reload_mid_trace: false,
+            metrics_addr: None,
+            linger_ms: 0,
+            bench_json: None,
+            random: None,
+            repr: None,
+            inject_fault: None,
+            corrupt: None,
+            allow: PathBuf::from("ci/lint-allow.txt"),
+            kernel: KernelKind::default(),
+            addr: "127.0.0.1:0".to_string(),
+            tokens: None,
+            http_workers: 4,
+            self_drive: None,
+        }
+    }
+}
+
+/// The next argument parsed as a flag's value; `None` when it is
+/// missing or malformed, which every caller turns into the usage.
+fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> Option<T> {
+    it.next()?.parse().ok()
+}
+
+/// Parses the flags after the command; `None` on an unknown flag or a
+/// bad value.
+fn parse_opts(args: &[String]) -> Option<Opts> {
+    let mut o = Opts::default();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let it = &mut it;
         match arg.as_str() {
-            "--network" => network = it.next().map(PathBuf::from),
-            "--models" => {
-                let Some(m) = it.next() else {
-                    return usage();
-                };
-                models = Some(m.clone());
-            }
-            "--requests" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                requests = n;
-            }
-            "--max-batch" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                max_batch = n;
-            }
-            "--max-wait-us" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                max_wait_us = n;
-            }
-            "--workers" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                workers = n;
-            }
-            "--seed" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                seed = n;
-            }
-            "--tenant-quota" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                tenant_quota = n;
-            }
-            "--batch-share" => {
-                let Some(n) = it.next().and_then(|s| s.parse::<u64>().ok()) else {
-                    return usage();
-                };
-                if n > 100 {
-                    return usage();
-                }
-                batch_share = n;
-            }
-            "--aging-us" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                aging_us = n;
-            }
-            "--adaptive-wait" => adaptive_wait = true,
-            "--cache-capacity" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cache_capacity = n;
-            }
-            "--reload-mid-trace" => reload_mid_trace = true,
-            "--addr" => {
-                let Some(a) = it.next() else {
-                    return usage();
-                };
-                addr = a.clone();
-            }
-            "--tokens" => {
-                let Some(t) = it.next() else {
-                    return usage();
-                };
-                tokens = Some(t.clone());
-            }
-            "--http-workers" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                http_workers = n;
-            }
-            "--self-drive" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                self_drive = Some(n);
-            }
-            "--metrics-addr" => {
-                let Some(a) = it.next() else {
-                    return usage();
-                };
-                metrics_addr = Some(a.clone());
-            }
-            "--linger-ms" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                linger_ms = n;
-            }
-            "--bench-json" => {
-                let Some(p) = it.next() else {
-                    return usage();
-                };
-                bench_json = Some(PathBuf::from(p));
-            }
-            "--random" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                random = Some(n);
-            }
-            "--repr" => {
-                let Some(r) = it.next() else {
-                    return usage();
-                };
-                repr = Some(r.clone());
-            }
-            "--inject-fault" => {
-                let Some(b) = it.next() else {
-                    return usage();
-                };
-                inject_fault = Some(b.clone());
-            }
-            "--corrupt" => {
-                let Some(c) = it.next() else {
-                    return usage();
-                };
-                corrupt = Some(c.clone());
-            }
-            "--allow" => {
-                let Some(p) = it.next() else {
-                    return usage();
-                };
-                allow = PathBuf::from(p);
-            }
-            "--kernel" => {
-                let Some(k) = it.next().and_then(|s| problp::engine::KernelKind::parse(s)) else {
-                    return usage();
-                };
-                kernel = k;
-            }
-            "--batch" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                batch = Some(n);
-            }
-            "--threads" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                threads = n;
-            }
-            "--instances" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                instances = n;
-            }
-            "--query" => {
-                let Some(q) = it.next().and_then(|s| parse_query(s)) else {
-                    return usage();
-                };
-                query = q;
-            }
-            "--query-var" => {
-                let Some(v) = it.next() else {
-                    return usage();
-                };
-                query_var = Some(v.clone());
-            }
-            "--dataset" => {
-                let Some(v) = it.next() else {
-                    return usage();
-                };
-                dataset = Some(v.clone());
-            }
-            "--tolerance" => {
-                let Some(t) = it.next().and_then(|s| parse_tolerance(s)) else {
-                    return usage();
-                };
-                tolerance = t;
-            }
-            "--out-dir" => out_dir = it.next().map(PathBuf::from).unwrap_or(out_dir),
-            "--dot" => dot = it.next().map(PathBuf::from),
-            "--optimize" => optimize = true,
-            _ => return usage(),
+            "--network" => o.network = Some(value(it)?),
+            "--models" => o.models = Some(value(it)?),
+            "--requests" => o.requests = value(it)?,
+            "--max-batch" => o.max_batch = value(it)?,
+            "--max-wait-us" => o.max_wait_us = value(it)?,
+            "--workers" => o.workers = value(it)?,
+            "--seed" => o.seed = value(it)?,
+            "--tenant-quota" => o.tenant_quota = value(it)?,
+            "--batch-share" => o.batch_share = value(it).filter(|n| *n <= 100)?,
+            "--aging-us" => o.aging_us = value(it)?,
+            "--adaptive-wait" => o.adaptive_wait = true,
+            "--cache-capacity" => o.cache_capacity = value(it)?,
+            "--reload-mid-trace" => o.reload_mid_trace = true,
+            "--addr" => o.addr = value(it)?,
+            "--tokens" => o.tokens = Some(value(it)?),
+            "--http-workers" => o.http_workers = value(it)?,
+            "--self-drive" => o.self_drive = Some(value(it)?),
+            "--metrics-addr" => o.metrics_addr = Some(value(it)?),
+            "--linger-ms" => o.linger_ms = value(it)?,
+            "--bench-json" => o.bench_json = Some(value(it)?),
+            "--random" => o.random = Some(value(it)?),
+            "--repr" => o.repr = Some(value(it)?),
+            "--inject-fault" => o.inject_fault = Some(value(it)?),
+            "--corrupt" => o.corrupt = Some(value(it)?),
+            "--allow" => o.allow = value(it)?,
+            "--kernel" => o.kernel = KernelKind::parse(&value::<String>(it)?)?,
+            "--batch" => o.batch = Some(value(it)?),
+            "--threads" => o.threads = value(it)?,
+            "--instances" => o.instances = value(it)?,
+            "--query" => o.query = parse_query(&value::<String>(it)?)?,
+            "--query-var" => o.query_var = Some(value(it)?),
+            "--dataset" => o.dataset = Some(value(it)?),
+            "--tolerance" => o.tolerance = parse_tolerance(&value::<String>(it)?)?,
+            "--out-dir" => o.out_dir = value(it)?,
+            "--dot" => o.dot = Some(value(it)?),
+            "--optimize" => o.optimize = true,
+            _ => return None,
         }
     }
+    Some(o)
+}
 
-    // `serve-sim` hosts many models at once; it has its own loading
-    // path (built-in names or .bn files) instead of `--network`.
-    if command == "serve-sim" {
-        let Some(models) = models else {
-            return usage();
-        };
-        let sim = ServeSimArgs {
-            models,
-            requests,
-            max_batch,
-            max_wait_us,
-            workers,
-            seed,
-            tenant_quota,
-            batch_share,
-            aging_us,
-            adaptive_wait,
-            cache_capacity,
-            reload_mid_trace,
-            metrics_addr,
-            linger_ms,
-            bench_json,
-        };
-        return match serve_sim(&sim) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // `serve-http` puts the query gateway in front of the same pooled
-    // serving stack; it shares serve-sim's model loading.
-    if command == "serve-http" {
-        let Some(models) = models else {
-            return usage();
-        };
-        let http = ServeHttpArgs {
-            models,
-            addr,
-            tokens,
-            http_workers,
-            max_batch,
-            max_wait_us,
-            workers,
-            seed,
-            tenant_quota,
-            cache_capacity,
-            self_drive,
-            metrics_addr,
-            linger_ms,
-            bench_json,
-        };
-        return match serve_http(&http) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // `conformance` hosts many models too (named, file-based or
-    // generated), so it shares serve-sim's loading path.
-    if command == "conformance" {
-        let args = ConformanceArgs {
-            models,
-            random,
-            batch: batch.unwrap_or(256),
-            seed,
-            repr,
-            inject_fault,
-        };
-        return match conformance(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // `verify` shares serve-sim's model loading (built-in names or .bn
-    // files) and never evaluates anything — it is pure static analysis.
-    if command == "verify" {
-        let args = VerifyArgs {
-            models,
-            repr,
-            seed,
-            corrupt,
-        };
-        return match verify_tapes(&args) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // `lint-src` needs no models at all; it reads workspace sources.
-    if command == "lint-src" {
-        return match lint_src(&allow) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // `accuracy` runs on the packaged classifier benchmarks, no network
-    // file involved.
-    if command == "accuracy" {
-        let names: Vec<&str> = match &dataset {
-            Some(d) => vec![d.as_str()],
-            None => vec!["HAR", "UNIMIB", "UIWADS"],
-        };
-        if let Some(bad) = names
-            .iter()
-            .find(|n| !matches!(**n, "HAR" | "UNIMIB" | "UIWADS"))
-        {
-            eprintln!("error: unknown dataset {bad} (expected HAR, UNIMIB or UIWADS)");
-            return ExitCode::FAILURE;
-        }
-        print!(
-            "{}",
-            problp::bench::accuracy_study_report(&names, instances)
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let Some(network_path) = network else {
-        return usage();
-    };
-    let net = match load_network(&network_path) {
-        Ok(net) => net,
+/// Maps a command's outcome to the exit code: `Ok(false)` is a failed
+/// check (already reported), `Err` is printed.
+fn exit_code(outcome: Result<bool, Box<dyn Error>>) -> ExitCode {
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((command, rest)) = args.split_first() else {
+        return usage();
     };
-    let circuit = match compile(&net) {
-        Ok(ac) => ac,
-        Err(e) => {
-            eprintln!("error: compilation failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(o) = parse_opts(rest) else {
+        return usage();
     };
-    let circuit = if optimize {
-        match problp::ac::optimize(&circuit) {
-            Ok((opt, stats)) => {
-                eprintln!("optimized: {stats}");
-                opt
+    let outcome = match command.as_str() {
+        // The serving commands host many models at once (built-in names
+        // or .bn files) instead of one `--network`.
+        "serve-sim" | "serve-http" if o.models.is_none() => return usage(),
+        "serve-sim" => serve_sim(&o).map(|()| true),
+        "serve-http" => serve_http(&o).map(|()| true),
+        "conformance" => conformance(&o).map(|()| true),
+        // Pure static analysis: never evaluates anything.
+        "verify" => verify_tapes(&o),
+        // Needs no models at all; it reads workspace sources.
+        "lint-src" => lint_src(&o.allow),
+        // Runs on the packaged classifier benchmarks, no network file.
+        "accuracy" => accuracy(&o).map(|()| true),
+        "info" | "run" | "throughput" | "export" => {
+            let Some(network) = &o.network else {
+                return usage();
+            };
+            if command == "export" && o.dot.is_none() {
+                return usage();
             }
-            Err(e) => {
-                eprintln!("error: optimisation failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            on_network(command, network, &o).map(|()| true)
         }
+        _ => return usage(),
+    };
+    exit_code(outcome)
+}
+
+fn accuracy(o: &Opts) -> Result<(), Box<dyn Error>> {
+    let names: Vec<&str> = match &o.dataset {
+        Some(d) => vec![d.as_str()],
+        None => vec!["HAR", "UNIMIB", "UIWADS"],
+    };
+    if let Some(bad) = names
+        .iter()
+        .find(|n| !matches!(**n, "HAR" | "UNIMIB" | "UIWADS"))
+    {
+        return Err(format!("unknown dataset {bad} (expected HAR, UNIMIB or UIWADS)").into());
+    }
+    print!(
+        "{}",
+        problp::bench::accuracy_study_report(&names, o.instances)
+    );
+    Ok(())
+}
+
+/// The single-network commands: load and compile `network` (optimized
+/// with `--optimize`), then run `command` on it.
+fn on_network(command: &str, network: &Path, o: &Opts) -> Result<(), Box<dyn Error>> {
+    let net = load_network(network)?;
+    let circuit = compile(&net).map_err(|e| format!("compilation failed: {e}"))?;
+    let circuit = if o.optimize {
+        let (opt, stats) =
+            problp::ac::optimize(&circuit).map_err(|e| format!("optimisation failed: {e}"))?;
+        eprintln!("optimized: {stats}");
+        opt
     } else {
         circuit
     };
-
-    match command.as_str() {
+    match command {
         "info" => {
             println!("network: {net}");
             println!("circuit: {}", circuit.stats());
@@ -579,53 +437,25 @@ fn main() -> ExitCode {
                 Ok(bin) => println!("binarized: {}", bin.stats()),
                 Err(e) => eprintln!("error: {e}"),
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
         "export" => {
-            let Some(dot_path) = dot else {
-                return usage();
-            };
-            if let Err(e) = std::fs::write(&dot_path, circuit.to_dot()) {
-                eprintln!("error: cannot write {}: {e}", dot_path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", dot_path.display());
-            ExitCode::SUCCESS
+            let dot = o.dot.as_deref().ok_or("export needs --dot FILE")?;
+            std::fs::write(dot, circuit.to_dot())
+                .map_err(|e| format!("cannot write {}: {e}", dot.display()))?;
+            println!("wrote {}", dot.display());
+            Ok(())
         }
-        "throughput" => {
-            match throughput(
-                &net,
-                &circuit,
-                query,
-                query_var.as_deref(),
-                batch.unwrap_or(1024),
-                threads,
-                kernel,
-            ) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "run" => {
-            let run = RunArgs {
-                network: network_path,
-                query,
-                tolerance,
-                out_dir,
-                optimize,
-            };
-            match execute(&net, &circuit, &run) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
+        "throughput" => throughput(
+            &net,
+            &circuit,
+            o.query,
+            o.query_var.as_deref(),
+            o.batch.unwrap_or(1024),
+            o.threads,
+            o.kernel,
+        ),
+        _ => execute(&net, &circuit, network, o),
     }
 }
 
@@ -659,7 +489,7 @@ fn throughput(
     batch: usize,
     threads: usize,
     kernel: problp::engine::KernelKind,
-) -> Result<(), Box<dyn std::error::Error>> {
+) -> Result<(), Box<dyn Error>> {
     use problp::engine::Engine;
 
     let var_count = circuit.var_count();
@@ -783,57 +613,6 @@ fn throughput(
     Ok(())
 }
 
-struct ServeSimArgs {
-    /// Comma-separated built-in network names or `.bn` paths.
-    models: String,
-    requests: usize,
-    max_batch: usize,
-    max_wait_us: u64,
-    workers: usize,
-    seed: u64,
-    /// Per-model cap on queued + in-flight lanes (0 = no quota).
-    tenant_quota: usize,
-    /// Percentage of the trace routed to the `Batch` priority lane.
-    batch_share: u64,
-    /// Anti-starvation promotion bound of the priority lanes, µs.
-    aging_us: u64,
-    /// Shrink the coalescing wait of hot streams (EWMA-driven).
-    adaptive_wait: bool,
-    /// Exact answer-cache capacity in entries (0 = cache off).
-    cache_capacity: usize,
-    /// Hot-swap the first model halfway through the trace
-    /// ([`Server::reload`]): recompiles the same graph, so answers stay
-    /// bit-identical while the version bumps and the cut-over runs.
-    reload_mid_trace: bool,
-    /// Bind the `/metrics` + `/healthz` sidecar here (port 0 = any).
-    metrics_addr: Option<String>,
-    /// Keep the sidecar and server alive this long after the trace.
-    linger_ms: u64,
-    /// Write the run's `problp-bench/v1` perf record here.
-    bench_json: Option<PathBuf>,
-}
-
-/// A tiny deterministic xorshift64* stream — the trace mixer (the CLI
-/// binary carries no RNG dependency).
-struct TraceRng(u64);
-
-impl TraceRng {
-    fn new(seed: u64) -> Self {
-        TraceRng(seed.wrapping_mul(2685821657736338717).max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(2685821657736338717)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
 /// Resolves a whole comma-separated `--models` list, rejecting duplicate
 /// names up front (both `serve-sim`'s pool and the conformance report
 /// are keyed by name, so a collision would silently merge two tenants).
@@ -878,220 +657,133 @@ fn load_model(spec: &str, seed: u64) -> Result<(String, BayesNet), String> {
     Ok((name, net))
 }
 
-use problp::bench::percentile_us as percentile;
-
-/// Renders an `Option<u128>` microseconds percentile for the latency
-/// lines (`-` when the lane is empty).
-fn fmt_us(p: Option<u128>) -> String {
-    p.map_or_else(|| "-".to_string(), |us| us.to_string())
+/// Renders the p50/p90/p99/max line of an ascending-sorted latency
+/// sample (`-` for an empty sample).
+fn latency_line(sorted_us: &[u128]) -> String {
+    let q = |p: f64| {
+        problp::bench::percentile_us(sorted_us, p)
+            .map_or_else(|| "-".to_string(), |us| us.to_string())
+    };
+    format!(
+        "p50 {}us  p90 {}us  p99 {}us  max {}us",
+        q(50.0),
+        q(90.0),
+        q(99.0),
+        sorted_us.last().copied().unwrap_or(0)
+    )
 }
 
-/// The scalar (per-request, tree-walk) answer a served response must
-/// reproduce bit for bit, plus its prediction for conditionals.
-enum ScalarReply {
-    Marginal(f64),
-    Mpe(f64),
-    Conditional {
-        posteriors: Vec<f64>,
-        prediction: usize,
-    },
-    Impossible,
+/// Starts the `/metrics` + `/healthz` sidecar on `--metrics-addr`, if
+/// given, over the server's registry; port 0 picks a free port, printed
+/// for external scrapers (and the CI smoke tests).
+fn start_sidecar(
+    o: &Opts,
+    registry: &Arc<MetricsRegistry>,
+    health: problp::telemetry::HealthFn,
+) -> Result<Option<Sidecar>, String> {
+    let Some(addr) = &o.metrics_addr else {
+        return Ok(None);
+    };
+    let s = Sidecar::start(addr, Arc::clone(registry), health)
+        .map_err(|e| format!("cannot bind metrics sidecar on {addr}: {e}"))?;
+    println!("  metrics sidecar: http://{}/metrics", s.local_addr());
+    Ok(Some(s))
 }
 
 /// Replays a mixed-tenant trace through the sharded serving layer
 /// (`problp::engine::serve`) under the configured QoS policy, checks
 /// every admitted answer bit-identical to per-request evaluation, and
 /// reports per-class latency percentiles, quota rejects and the
-/// batched-vs-scalar speedup.
-fn serve_sim(args: &ServeSimArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use problp::engine::{
-        CircuitPool, Priority, ServeConfig, ServeError, ServeRequest, ServeResponse, Server,
-    };
-    use problp::telemetry::{http_get, metric_names, MetricsRegistry, Sidecar};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+/// batched-vs-scalar speedup. The trace, burst and check are the
+/// scenario runner's; this command adds the sidecar self-scrapes, the
+/// mid-trace reload, the cache replay and the server-stats cross-checks.
+fn serve_sim(o: &Opts) -> Result<(), Box<dyn Error>> {
+    use problp::telemetry::{http_get, metric_names};
 
-    let mut tenants: Vec<(String, BayesNet, AcGraph)> = Vec::new();
-    for (name, net) in load_models(&args.models, args.seed)? {
-        let ac = compile(&net)?;
-        tenants.push((name, net, ac));
-    }
+    let tenants = scenario::tenants(load_models(o.models.as_deref().unwrap_or(""), o.seed)?)?;
     if tenants.len() < 2 {
         return Err("serve-sim needs at least two models (--models a,b)".into());
     }
-
-    // The seeded mixed-tenant trace: random model, random query kind,
-    // random instance from the model's canonical evidence pool.
-    let pools: Vec<Vec<Evidence>> = tenants
-        .iter()
-        .map(|(_, _, ac)| problp::bayes::single_variable_evidences(ac.var_arities()))
-        .collect();
-    let mut rng = TraceRng::new(args.seed);
-    let trace: Vec<(usize, ServeRequest)> = (0..args.requests.max(1))
-        .map(|_| {
-            let t = rng.below(tenants.len());
-            let (name, net, _) = &tenants[t];
-            let query = match rng.below(3) {
-                0 => BatchQuery::Marginal,
-                1 => BatchQuery::Mpe,
-                _ => BatchQuery::Conditional {
-                    query_var: net.roots().first().copied().unwrap_or(VarId::from_index(0)),
-                },
-            };
-            let evidence = pools[t][rng.below(pools[t].len())].clone();
-            let priority = if (rng.below(100) as u64) < args.batch_share {
-                Priority::Batch
-            } else {
-                Priority::Interactive
-            };
-            (
-                t,
-                ServeRequest {
-                    model: name.clone(),
-                    evidence,
-                    query,
-                    priority,
-                },
-            )
-        })
-        .collect();
+    let trace = scenario::trace(
+        &tenants,
+        o.requests,
+        o.seed,
+        Mix::Uniform {
+            batch_share: o.batch_share,
+        },
+    );
 
     println!(
         "serve-sim: {} models, {} requests (seed {})",
         tenants.len(),
         trace.len(),
-        args.seed
+        o.seed
     );
-    for (name, net, _) in &tenants {
-        let share = trace.iter().filter(|(_, r)| &r.model == name).count();
+    for t in &tenants {
+        let share = trace.iter().filter(|r| r.model == t.name).count();
         println!(
-            "  model {name}: {} variables, {share} requests",
-            net.var_count()
+            "  model {}: {} variables, {share} requests",
+            t.name,
+            t.net.var_count()
         );
     }
+    let on_off = |on: bool| if on { "on" } else { "off" };
     println!(
         "  policy: max_batch {}, max_wait {}us, workers {}, engine threads 1",
-        args.max_batch, args.max_wait_us, args.workers
+        o.max_batch, o.max_wait_us, o.workers
     );
     println!(
         "  qos: tenant_quota {} ({}), batch share {}%, aging {}us, adaptive wait {}",
-        args.tenant_quota,
-        if args.tenant_quota == 0 { "off" } else { "on" },
-        args.batch_share,
-        args.aging_us,
-        if args.adaptive_wait { "on" } else { "off" }
+        o.tenant_quota,
+        on_off(o.tenant_quota > 0),
+        o.batch_share,
+        o.aging_us,
+        on_off(o.adaptive_wait)
     );
     println!(
         "  cache: capacity {} ({}), mid-trace reload {}",
-        args.cache_capacity,
-        if args.cache_capacity == 0 {
-            "off"
-        } else {
-            "on"
-        },
-        if args.reload_mid_trace { "on" } else { "off" }
+        o.cache_capacity,
+        on_off(o.cache_capacity > 0),
+        on_off(o.reload_mid_trace)
     );
 
-    // Scalar replay: every request answered alone by the per-instance
-    // tree-walk (the paper's software baseline) — also the bit-identity
-    // reference for the pooled answers. Per-request timings let the
-    // speedup compare like with like when a quota rejects part of the
-    // trace.
-    let scalar_start = Instant::now();
-    let scalar: Vec<(ScalarReply, Duration)> = trace
-        .iter()
-        .map(|(t, req)| {
-            let req_start = Instant::now();
-            let ac = &tenants[*t].2;
-            let e = &req.evidence;
-            let reply = match req.query {
-                BatchQuery::Marginal => Ok(ScalarReply::Marginal(ac.evaluate(e)?)),
-                BatchQuery::Mpe => {
-                    let (_, value) = ac.mpe_assignment(e)?;
-                    Ok(ScalarReply::Mpe(value))
-                }
-                BatchQuery::Conditional { query_var } => {
-                    let den = ac.evaluate(e)?;
-                    if den == 0.0 {
-                        return Ok((ScalarReply::Impossible, req_start.elapsed()));
-                    }
-                    let states = ac.var_arities()[query_var.index()];
-                    let mut posteriors = Vec::with_capacity(states);
-                    let mut prediction = 0usize;
-                    let mut best = f64::NEG_INFINITY;
-                    for s in 0..states {
-                        let mut with_q = e.clone();
-                        with_q.observe(query_var, s);
-                        let num = ac.evaluate(&with_q)?;
-                        posteriors.push(num / den);
-                        if num > best {
-                            best = num;
-                            prediction = s;
-                        }
-                    }
-                    Ok(ScalarReply::Conditional {
-                        posteriors,
-                        prediction,
-                    })
-                }
-            };
-            reply.map(|r| (r, req_start.elapsed()))
-        })
-        .collect::<Result<_, problp::ac::AcError>>()?;
-    let scalar_total = scalar_start.elapsed();
+    // Scalar replay: every request answered alone by the tree-walk (the
+    // paper's software baseline) — the bit-identity reference, timed per
+    // request so the speedup compares like with like under a quota.
+    let scalar = scenario::scalar_replay(&tenants, &trace)?;
 
-    // Pooled serving: admission queue + dispatcher shards over the
-    // multi-model CircuitPool.
-    let mut pool = CircuitPool::new(F64Arith::new());
-    for (name, _, ac) in &tenants {
-        pool.register(name, ac)?;
-    }
     let registry = Arc::new(MetricsRegistry::new());
     let server = Server::start_instrumented(
-        pool,
+        scenario::register(&tenants)?,
         ServeConfig {
-            max_batch: args.max_batch.max(1),
-            max_wait: Duration::from_micros(args.max_wait_us),
-            workers: args.workers.max(1),
-            tenant_quota: args.tenant_quota,
-            priority_aging: Duration::from_micros(args.aging_us),
-            adaptive_wait: args.adaptive_wait,
-            cache_capacity: args.cache_capacity,
+            max_batch: o.max_batch.max(1),
+            max_wait: Duration::from_micros(o.max_wait_us),
+            workers: o.workers.max(1),
+            tenant_quota: o.tenant_quota,
+            priority_aging: Duration::from_micros(o.aging_us),
+            adaptive_wait: o.adaptive_wait,
+            cache_capacity: o.cache_capacity,
         },
         Arc::clone(&registry),
     );
-    // The observability sidecar scrapes the same registry the server
-    // writes to; port 0 picks a free port, printed for external
-    // scrapers (and the CI smoke test).
-    let sidecar = match &args.metrics_addr {
-        Some(addr) => {
-            let s = Sidecar::start(addr, Arc::clone(&registry), server.health_fn())
-                .map_err(|e| format!("cannot bind metrics sidecar on {addr}: {e}"))?;
-            println!("  metrics sidecar: http://{}/metrics", s.local_addr());
-            Some(s)
-        }
-        None => None,
-    };
-    let served_start = Instant::now();
+    let sidecar = start_sidecar(o, &registry, server.health_fn())?;
     // With --reload-mid-trace, the first model is hot-swapped while the
     // first half of the trace is still in flight: admissions after this
     // point run on tape version 2 (recompiled from the same graph, so
     // every bit-identity check below still holds), in-flight work stays
     // pinned to version 1, and nothing is drained for the cut-over.
-    let reload_at = if args.reload_mid_trace {
-        Some(trace.len() / 2)
-    } else {
-        None
-    };
-    let mut submitted = Vec::with_capacity(trace.len());
-    for (i, (_, req)) in trace.iter().enumerate() {
+    let reload_at = o.reload_mid_trace.then_some(trace.len() / 2);
+    let in_flight = scenario::submit(&server, &trace, |i| {
         if Some(i) == reload_at {
-            let (name, _, ac) = &tenants[0];
-            let version = server.reload(name, ac)?;
-            println!("  mid-trace reload: model {name} cut over to version {version}");
+            let t = &tenants[0];
+            let version = server.reload(&t.name, &t.circuit)?;
+            println!(
+                "  mid-trace reload: model {} cut over to version {version}",
+                t.name
+            );
         }
-        submitted.push((Instant::now(), server.submit(req.clone())));
-    }
+        Ok(())
+    })?;
     // Self-check while the trace is in flight: the sidecar must report
     // healthy (workers alive, not shut down) mid-run.
     if let Some(s) = &sidecar {
@@ -1102,153 +794,45 @@ fn serve_sim(args: &ServeSimArgs) -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("  mid-trace /healthz: {status} ok");
     }
-    let mut quota_rejects = 0usize;
-    let sojourn =
-        problp::telemetry::Histogram::new(problp::telemetry::default_latency_buckets_us());
-    let mut latencies_us: Vec<(Priority, u128)> = Vec::with_capacity(submitted.len());
-    // One slot per trace entry: `None` marks a quota-rejected request
-    // (a policy outcome, excluded from the bit-identity denominator).
-    let mut served: Vec<Option<problp::engine::LaneResult<f64>>> =
-        Vec::with_capacity(submitted.len());
-    // One shared drain budget: a wedged dispatcher fails the sim in
-    // ~30s total, not 30s per ticket.
-    let drain_deadline = Instant::now() + Duration::from_secs(30);
-    for ((enqueued, ticket), (_, req)) in submitted.into_iter().zip(&trace) {
-        // Latency is submit → dispatcher completion (the timestamp the
-        // ticket carries), not submit → whenever this drain loop gets
-        // around to the ticket. The deadline means a wedged dispatcher
-        // fails the sim instead of hanging it.
-        match ticket {
-            Ok(t) => {
-                let (reply, completed) =
-                    t.wait_deadline_timed(drain_deadline.saturating_duration_since(Instant::now()));
-                let waited = completed.saturating_duration_since(enqueued);
-                sojourn.observe_duration(waited);
-                latencies_us.push((req.priority, waited.as_micros()));
-                served.push(Some(reply));
-            }
-            Err(ServeError::QuotaExceeded { .. }) => {
-                quota_rejects += 1;
-                served.push(None);
-            }
-            Err(e) => return Err(format!("admission failed: {e}").into()),
-        }
+    let burst = in_flight.drain();
+    let mismatched = scenario::mismatches(&tenants, server.pool(), &trace, &burst, &scalar);
+    for &i in mismatched.iter().take(3) {
+        eprintln!("mismatch at request {i}: {:?}", trace[i]);
     }
-    let served_total = served_start.elapsed();
+    let quota_rejects = burst.rejects();
+    let admitted = burst.admitted();
 
-    // Bit-identity: the coalesced answer must reproduce the scalar reply
-    // exactly — value bits, posterior bits, predictions — and the typed
-    // impossible-evidence lanes must line up.
-    let mut mismatches = 0usize;
-    for (i, ((t, req), (outcome, (want, _)))) in
-        trace.iter().zip(served.iter().zip(&scalar)).enumerate()
-    {
-        let Some(reply) = outcome else {
-            continue; // quota-rejected at admission, counted above
-        };
-        let ac = &tenants[*t].2;
-        let ok = match (reply, want) {
-            (Ok(ServeResponse::Marginal { value, .. }), ScalarReply::Marginal(w)) => {
-                value.to_bits() == w.to_bits()
-            }
-            (
-                Ok(ServeResponse::Mpe {
-                    value, assignment, ..
-                }),
-                ScalarReply::Mpe(w),
-            ) => {
-                // The decoded assignment must achieve the max-product
-                // value exactly (ties may pick a different argmax than
-                // the scalar decoder, but never a different value) and
-                // respect the request's evidence.
-                value.to_bits() == w.to_bits()
-                    && assignment.len() == req.evidence.len()
-                    && ac
-                        .evaluate(&Evidence::from_assignment(assignment))
-                        .is_ok_and(|joint| joint.to_bits() == w.to_bits())
-                    && req
-                        .evidence
-                        .iter()
-                        .all(|(var, s)| assignment[var.index()] == s)
-            }
-            (
-                Ok(ServeResponse::Conditional {
-                    posteriors,
-                    prediction,
-                    ..
-                }),
-                ScalarReply::Conditional {
-                    posteriors: wp,
-                    prediction: wpred,
-                },
-            ) => {
-                prediction == wpred
-                    && posteriors.len() == wp.len()
-                    && posteriors
-                        .iter()
-                        .zip(wp)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            }
-            (Err(problp::engine::ServeError::ImpossibleEvidence), ScalarReply::Impossible) => true,
-            _ => false,
-        };
-        // The pooled answer must also match the same request served
-        // alone through the pool (coalescing-independence; flags are
-        // batch-scope, so the payload comparison is the right one).
-        let alone = server.pool().serve_one(req);
-        if !ok || !problp::engine::lane_answer_eq(&alone, reply) {
-            mismatches += 1;
-            if mismatches <= 3 {
-                eprintln!("mismatch at request {i}: {req:?}");
-            }
-        }
-    }
-    // The server's own counters must agree with the CLI's bookkeeping:
-    // the stats snapshot is the authoritative record (the sidecar and
-    // tests read the same atomics), the local counts are the check.
+    // The server's own counters must agree with the runner's books: the
+    // stats snapshot is the authoritative record (the sidecar and tests
+    // read the same atomics), the local counts are the check. With the
+    // cache on, every well-formed submission either hit or missed (hits
+    // bypass the quota; quota rejects still count a miss first), so the
+    // two cache counters partition the trace.
     let stats = server.stats();
-    if stats.requests != trace.len() as u64 {
-        return Err(format!(
-            "server counted {} requests, the trace submitted {}",
-            stats.requests,
-            trace.len()
-        )
-        .into());
-    }
-    if stats.rejected_quota != quota_rejects as u64 {
-        return Err(format!(
-            "server counted {} quota rejects, admission returned {quota_rejects}",
-            stats.rejected_quota
-        )
-        .into());
-    }
-    // Cache accounting: with the cache on, every well-formed submission
-    // either hit or missed (hits bypass the quota; quota rejects still
-    // count a miss first), so the two counters partition the trace.
-    let expected_lookups = if args.cache_capacity > 0 {
-        trace.len() as u64
-    } else {
-        0
-    };
-    if stats.cache_hits + stats.cache_misses != expected_lookups {
-        return Err(format!(
-            "cache books off: {} hits + {} misses != {expected_lookups} lookups",
-            stats.cache_hits, stats.cache_misses
-        )
-        .into());
+    let lookups = if o.cache_capacity > 0 { trace.len() } else { 0 };
+    for (what, counted, booked) in [
+        ("requests", stats.requests, trace.len()),
+        ("quota rejects", stats.rejected_quota, quota_rejects),
+        (
+            "cache lookups",
+            stats.cache_hits + stats.cache_misses,
+            lookups,
+        ),
+    ] {
+        if counted != booked as u64 {
+            return Err(format!("server counted {counted} {what}, the run booked {booked}").into());
+        }
     }
 
-    let admitted = trace.len() - quota_rejects;
     println!(
-        "\n  verification: {}/{} admitted answers bit-identical to per-request evaluation",
-        admitted - mismatches,
-        admitted
+        "\n  verification: {}/{admitted} admitted answers bit-identical to per-request evaluation",
+        admitted - mismatched.len()
     );
-    if args.tenant_quota > 0 {
+    if o.tenant_quota > 0 {
         println!(
             "  quota rejects: {quota_rejects}/{} (tenant_quota {})",
             trace.len(),
-            args.tenant_quota
+            o.tenant_quota
         );
     }
     println!(
@@ -1257,49 +841,35 @@ fn serve_sim(args: &ServeSimArgs) -> Result<(), Box<dyn std::error::Error>> {
     );
     // Overall sojourn percentiles, then per priority class when the
     // trace actually mixes classes.
-    let mut all: Vec<u128> = latencies_us.iter().map(|(_, us)| *us).collect();
-    all.sort_unstable();
-    println!(
-        "  latency (sojourn): p50 {}us  p90 {}us  p99 {}us  max {}us",
-        fmt_us(percentile(&all, 50.0)),
-        fmt_us(percentile(&all, 90.0)),
-        fmt_us(percentile(&all, 99.0)),
-        all.last().copied().unwrap_or(0)
-    );
+    let all = burst.sorted_us(&trace, |_| true);
+    println!("  latency (sojourn): {}", latency_line(&all));
     for class in [Priority::Interactive, Priority::Batch] {
-        let mut lane: Vec<u128> = latencies_us
-            .iter()
-            .filter(|(p, _)| *p == class)
-            .map(|(_, us)| *us)
-            .collect();
+        let lane = burst.sorted_us(&trace, |r| r.priority == class);
         if lane.is_empty() || lane.len() == all.len() {
             continue; // single-class trace: the overall line covers it
         }
-        lane.sort_unstable();
         println!(
-            "  latency ({class}): p50 {}us  p90 {}us  p99 {}us  max {}us  ({} requests)",
-            fmt_us(percentile(&lane, 50.0)),
-            fmt_us(percentile(&lane, 90.0)),
-            fmt_us(percentile(&lane, 99.0)),
-            lane.last().copied().unwrap_or(0),
+            "  latency ({class}): {}  ({} requests)",
+            latency_line(&lane),
             lane.len()
         );
     }
-    let n = trace.len() as f64;
+    let scalar_total: Duration = scalar.iter().map(|(_, d)| *d).sum();
     println!(
         "  scalar replay:   {:>9.2} ms total  ({:>10.0} req/s)",
         scalar_total.as_secs_f64() * 1e3,
-        n / scalar_total.as_secs_f64()
+        trace.len() as f64 / scalar_total.as_secs_f64()
     );
     println!(
         "  pooled serving:  {:>9.2} ms total  ({:>10.0} req/s over {admitted} admitted)",
-        served_total.as_secs_f64() * 1e3,
-        admitted as f64 / served_total.as_secs_f64()
+        burst.secs * 1e3,
+        burst.throughput_rps()
     );
     // Like for like: the scalar side of the speedup only counts the
-    // requests the pooled side actually served (quota rejects are
-    // work the scalar baseline would also not have done).
-    let scalar_admitted: Duration = served
+    // requests the pooled side actually served (quota rejects are work
+    // the scalar baseline would also not have done).
+    let scalar_admitted: Duration = burst
+        .outcomes
         .iter()
         .zip(&scalar)
         .filter(|(outcome, _)| outcome.is_some())
@@ -1307,65 +877,62 @@ fn serve_sim(args: &ServeSimArgs) -> Result<(), Box<dyn std::error::Error>> {
         .sum();
     println!(
         "  speedup: {:.2}x{}",
-        scalar_admitted.as_secs_f64() / served_total.as_secs_f64(),
+        scalar_admitted.as_secs_f64() / burst.secs,
         if quota_rejects > 0 {
             " (over the admitted requests)"
         } else {
             ""
         }
     );
-    if mismatches > 0 {
-        return Err(format!("{mismatches} served answers diverged from scalar replay").into());
+    if !mismatched.is_empty() {
+        return Err(format!(
+            "{} served answers diverged from scalar replay",
+            mismatched.len()
+        )
+        .into());
     }
-    if quota_rejects > 0 && args.tenant_quota == 0 {
+    if quota_rejects > 0 && o.tenant_quota == 0 {
         return Err("quota rejects without a configured quota".into());
     }
 
-    // Cache study: resubmit a slice of already-served requests. Every
-    // replay must come back bit-identical to the first pass, and with a
-    // cache big enough that nothing was evicted, every one must be a
-    // hit. After a mid-trace reload only post-reload requests replay —
-    // the swap invalidated the old version's entries by design.
+    // Cache replay: resubmit the last 32 served requests. Every replay
+    // must come back bit-identical to the first pass, and with a cache
+    // big enough that nothing was evicted, every one must be a hit.
+    // After a mid-trace reload only post-reload requests replay — the
+    // swap invalidated the old version's entries by design.
     let mut replay_submissions = 0usize;
-    if args.cache_capacity > 0 {
+    if o.cache_capacity > 0 {
         let before = server.stats();
-        let replay: Vec<usize> = served
-            .iter()
-            .enumerate()
-            .filter(|(i, outcome)| outcome.is_some() && reload_at.is_none_or(|at| *i >= at))
-            .map(|(i, _)| i)
+        let served: Vec<usize> = (0..trace.len())
+            .filter(|&i| burst.outcomes[i].is_some() && reload_at.is_none_or(|at| i >= at))
             .collect();
-        let replay = &replay[replay.len().saturating_sub(32)..];
-        replay_submissions = replay.len();
-        let replay_deadline = Instant::now() + Duration::from_secs(30);
-        let mut replayed = 0usize;
-        for &i in replay {
-            let req = &trace[i].1;
-            let ticket = match server.submit(req.clone()) {
-                Ok(t) => t,
-                // A miss (small cache) can still bounce off the quota;
-                // that is the quota doing its job, not a cache bug.
-                Err(ServeError::QuotaExceeded { .. }) => continue,
-                Err(e) => return Err(format!("replay admission failed: {e}").into()),
-            };
-            let reply =
-                ticket.wait_deadline(replay_deadline.saturating_duration_since(Instant::now()));
-            replayed += 1;
-            let first = served[i].as_ref().expect("replay set is served");
-            if !problp::engine::lane_answer_eq(first, &reply) {
-                return Err(format!("cache replay diverged at request {i}").into());
+        let replay = &served[served.len().saturating_sub(32)..];
+        let again: Vec<ServeRequest> = replay.iter().map(|&i| trace[i].clone()).collect();
+        replay_submissions = again.len();
+        // A miss (small cache) can still bounce off the quota; that is
+        // the quota doing its job, not a cache bug.
+        let replayed = scenario::run(&server, &again)?;
+        for (&i, outcome) in replay.iter().zip(&replayed.outcomes) {
+            if let (Some((first, _)), Some((reply, _))) = (&burst.outcomes[i], outcome) {
+                if !problp::engine::lane_answer_eq(first, reply) {
+                    return Err(format!("cache replay diverged at request {i}").into());
+                }
             }
         }
         let after = server.stats();
         let hits = after.cache_hits - before.cache_hits;
         println!(
-            "  cache replay: {replayed} resubmissions, {hits} hits \
+            "  cache replay: {} resubmissions, {hits} hits \
              ({} hits / {} misses / {} evictions overall)",
-            after.cache_hits, after.cache_misses, after.cache_evictions
+            replayed.admitted(),
+            after.cache_hits,
+            after.cache_misses,
+            after.cache_evictions
         );
-        if args.cache_capacity >= admitted && hits != replayed as u64 {
+        if o.cache_capacity >= admitted && hits != replayed.admitted() as u64 {
             return Err(format!(
-                "expected all {replayed} replays to hit an unevicted cache, got {hits}"
+                "expected all {} replays to hit an unevicted cache, got {hits}",
+                replayed.admitted()
             )
             .into());
         }
@@ -1377,8 +944,8 @@ fn serve_sim(args: &ServeSimArgs) -> Result<(), Box<dyn std::error::Error>> {
         .map(|(m, v)| format!("{m}=v{v}"))
         .collect();
     println!("  model versions: {}", versions.join("  "));
-    if args.reload_mid_trace {
-        let (name0, _, _) = &tenants[0];
+    if o.reload_mid_trace {
+        let name0 = &tenants[0].name;
         let v0 = stats
             .model_versions
             .iter()
@@ -1430,82 +997,58 @@ fn serve_sim(args: &ServeSimArgs) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The machine-readable perf record (`reproduce check-bench` format).
-    if let Some(path) = &args.bench_json {
-        let record = problp::bench::BenchRecord {
-            scenario: "serve_sim".to_string(),
-            requests: trace.len() as u64,
-            throughput_rps: admitted as f64 / served_total.as_secs_f64(),
-            latency: Some(sojourn.snapshot()),
-            rejects: quota_rejects as u64,
-            extra: vec![
-                (
-                    "models".to_string(),
-                    problp::telemetry::JsonValue::from(tenants.len()),
-                ),
-                (
-                    "workers".to_string(),
-                    problp::telemetry::JsonValue::from(args.workers.max(1)),
-                ),
-                (
-                    "identical".to_string(),
-                    problp::telemetry::JsonValue::from(admitted - mismatches),
-                ),
-                (
-                    "scalar_secs".to_string(),
-                    problp::telemetry::JsonValue::from(scalar_total.as_secs_f64()),
-                ),
-                (
-                    "served_secs".to_string(),
-                    problp::telemetry::JsonValue::from(served_total.as_secs_f64()),
-                ),
+    if let Some(path) = &o.bench_json {
+        write_bench(
+            path,
+            "serve_sim",
+            trace.len(),
+            quota_rejects,
+            &burst,
+            vec![
+                ("models", tenants.len().into()),
+                ("workers", o.workers.max(1).into()),
+                ("identical", (admitted - mismatched.len()).into()),
+                ("scalar_secs", scalar_total.as_secs_f64().into()),
+                ("served_secs", burst.secs.into()),
             ],
-        };
-        let text = record.to_json().render_pretty();
-        problp::bench::validate_bench_json(&text)
-            .map_err(|e| format!("emitted bench record is invalid: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("  wrote {}", path.display());
+        )?;
     }
 
     // Keep the sidecar (and the healthy server behind it) up for
     // external scrapers before tearing down.
-    if args.linger_ms > 0 {
-        std::thread::sleep(Duration::from_millis(args.linger_ms));
-    }
+    std::thread::sleep(Duration::from_millis(o.linger_ms));
     server.shutdown();
     drop(sidecar);
     Ok(())
 }
 
-struct ServeHttpArgs {
-    /// Comma-separated built-in network names or `.bn` paths.
-    models: String,
-    /// Gateway bind address (`host:port`; port 0 = OS-assigned).
-    addr: String,
-    /// `TOK=MODEL` pairs; `None` mints `token-<model>` per model.
-    tokens: Option<String>,
-    /// Gateway connection-handling worker threads.
-    http_workers: usize,
-    max_batch: usize,
-    max_wait_us: u64,
-    workers: usize,
-    seed: u64,
-    tenant_quota: usize,
-    cache_capacity: usize,
-    /// `Some(n)`: replay an `n`-request seeded trace through real
-    /// sockets, self-check and exit. `None`: serve until killed.
-    self_drive: Option<usize>,
-    metrics_addr: Option<String>,
-    /// Self-drive / bounded-serve linger before exiting.
-    linger_ms: u64,
-    /// Write the run's `problp-bench/v1` perf record here.
-    bench_json: Option<PathBuf>,
+/// Writes a serving command's `problp-bench/v1` record through the
+/// scenario runner's validate-then-write path, with throughput and
+/// latency from `burst`.
+fn write_bench(
+    path: &Path,
+    scenario_name: &str,
+    requests: usize,
+    rejects: usize,
+    burst: &scenario::Burst,
+    extra: Vec<(&str, problp::telemetry::JsonValue)>,
+) -> Result<(), String> {
+    let record = problp::bench::BenchRecord {
+        scenario: scenario_name.to_string(),
+        requests: requests as u64,
+        throughput_rps: burst.throughput_rps(),
+        latency: Some(burst.latency()),
+        rejects: rejects as u64,
+        extra: extra.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+    };
+    scenario::write_record(&record, path)?;
+    println!("  wrote {}", path.display());
+    Ok(())
 }
 
-/// Renders a [`problp::engine::ServeRequest`] as the gateway's POST
-/// body. The model never appears — it is carried by the bearer token.
-fn gateway_body(req: &problp::engine::ServeRequest) -> String {
+/// Renders a [`ServeRequest`] as the gateway's POST body. The model
+/// never appears — it is carried by the bearer token.
+fn gateway_body(req: &ServeRequest) -> String {
     let lanes: Vec<String> = (0..req.evidence.len())
         .map(|i| match req.evidence.state(VarId::from_index(i)) {
             Some(s) => s.to_string(),
@@ -1513,111 +1056,92 @@ fn gateway_body(req: &problp::engine::ServeRequest) -> String {
         })
         .collect();
     let priority = match req.priority {
-        problp::engine::Priority::Interactive => "interactive",
-        problp::engine::Priority::Batch => "batch",
+        Priority::Interactive => "interactive",
+        Priority::Batch => "batch",
     };
-    match req.query {
-        BatchQuery::Marginal => format!(
-            r#"{{"query": "marginal", "evidence": [{}], "priority": "{priority}"}}"#,
-            lanes.join(", ")
-        ),
-        BatchQuery::Mpe => format!(
-            r#"{{"query": "mpe", "evidence": [{}], "priority": "{priority}"}}"#,
-            lanes.join(", ")
-        ),
+    let query = match req.query {
+        BatchQuery::Marginal => r#""query": "marginal""#.to_string(),
+        BatchQuery::Mpe => r#""query": "mpe""#.to_string(),
         BatchQuery::Conditional { query_var } => format!(
-            r#"{{"query": "conditional", "query_var": {}, "evidence": [{}], "priority": "{priority}"}}"#,
-            query_var.index(),
-            lanes.join(", ")
+            r#""query": "conditional", "query_var": {}"#,
+            query_var.index()
         ),
-    }
+    };
+    format!(
+        r#"{{{query}, "evidence": [{}], "priority": "{priority}"}}"#,
+        lanes.join(", ")
+    )
 }
 
-/// Whether a parsed 200 body reproduces the uncached `serve_one`
-/// reference bit for bit (values, posteriors, assignments,
-/// predictions — flags are batch-scope and excluded by design).
-fn gateway_reply_matches(
-    doc: &problp::telemetry::JsonValue,
-    want: &problp::engine::ServeResponse<f64>,
-) -> bool {
-    use problp::engine::ServeResponse;
+/// The serving answer a gateway reply to `req` encodes: a 200 body
+/// parsed back into a [`ServeResponse`] (flags are batch-scope and left
+/// empty), a 422 `impossible_evidence` as that typed error; `None` for
+/// anything else.
+fn http_answer(req: &ServeRequest, code: u16, text: &str) -> Option<LaneResult<f64>> {
     use problp::telemetry::JsonValue;
-    let f64_field = |name: &str| doc.get(name).and_then(JsonValue::as_f64);
-    let usize_array = |name: &str| -> Option<Vec<usize>> {
+    if code == 422 && text.contains("\"impossible_evidence\"") {
+        return Some(Err(ServeError::ImpossibleEvidence));
+    }
+    if code != 200 {
+        return None;
+    }
+    let doc = JsonValue::parse(text).ok()?;
+    let number = |name: &str| doc.get(name).and_then(JsonValue::as_f64);
+    let numbers = |name: &str| -> Option<Vec<f64>> {
         doc.get(name)?
             .as_array()?
             .iter()
-            .map(|v| v.as_f64().map(|f| f as usize))
+            .map(JsonValue::as_f64)
             .collect()
     };
-    match want {
-        ServeResponse::Marginal { value, .. } => {
-            f64_field("value").is_some_and(|got| got.to_bits() == value.to_bits())
-        }
-        ServeResponse::Mpe {
-            assignment, value, ..
-        } => {
-            f64_field("value").is_some_and(|got| got.to_bits() == value.to_bits())
-                && usize_array("assignment").is_some_and(|got| &got == assignment)
-        }
-        ServeResponse::Conditional {
-            posteriors,
-            prediction,
-            ..
-        } => {
-            let got: Option<Vec<f64>> = doc
-                .get("posteriors")
-                .and_then(JsonValue::as_array)
-                .map(|a| a.iter().filter_map(JsonValue::as_f64).collect());
-            got.is_some_and(|got| {
-                got.len() == posteriors.len()
-                    && got
-                        .iter()
-                        .zip(posteriors)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
-            }) && f64_field("prediction").is_some_and(|p| p as usize == *prediction)
-        }
-    }
+    let flags = problp::num::Flags::default();
+    Some(Ok(match req.query {
+        BatchQuery::Marginal => ServeResponse::Marginal {
+            value: number("value")?,
+            flags,
+        },
+        BatchQuery::Mpe => ServeResponse::Mpe {
+            assignment: numbers("assignment")?
+                .into_iter()
+                .map(|s| s as usize)
+                .collect(),
+            value: number("value")?,
+            flags,
+        },
+        BatchQuery::Conditional { .. } => ServeResponse::Conditional {
+            posteriors: numbers("posteriors")?,
+            prediction: number("prediction")? as usize,
+            flags,
+        },
+    }))
 }
 
 /// Hosts the multi-model pool behind the HTTP query gateway
 /// (`problp::gateway`). Without `--self-drive` it serves until killed
-/// (or for `--linger-ms`); with it, a seeded mixed-query trace is
-/// replayed through real sockets, every admitted answer checked
-/// bit-identical to per-request `serve_one` evaluation, the typed
-/// error → status mapping probed (401/404/405/400/413/429), and the
-/// `problp_gateway_*` series cross-checked against the client's own
-/// status counts.
-fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use problp::engine::{
-        CircuitPool, Gateway, GatewayConfig, Priority, ServeConfig, ServeError, ServeRequest,
-        Server,
-    };
-    use problp::telemetry::{
-        http_post, http_request, metric_names, JsonValue, MetricsRegistry, Sidecar,
-    };
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+/// (or for `--linger-ms`); with it, a seeded mixed-query trace from the
+/// scenario runner is replayed through real sockets, every answer
+/// checked bit-identical to per-request evaluation (`serve_one` and the
+/// tree-walk), the typed error → status mapping probed
+/// (401/404/405/400/413/429), and the `problp_gateway_*` series
+/// cross-checked against the client's own status counts.
+fn serve_http(o: &Opts) -> Result<(), Box<dyn Error>> {
+    use problp::telemetry::{http_post, http_request, metric_names};
 
-    let mut tenants: Vec<(String, BayesNet, AcGraph)> = Vec::new();
-    for (name, net) in load_models(&args.models, args.seed)? {
-        let ac = compile(&net)?;
-        tenants.push((name, net, ac));
-    }
+    let tenants = scenario::tenants(load_models(o.models.as_deref().unwrap_or(""), o.seed)?)?;
     if tenants.is_empty() {
         return Err("serve-http needs at least one model (--models a,b)".into());
     }
 
     // The auth table: explicit TOK=MODEL pairs, or one minted
     // `token-<model>` per hosted model.
-    let tokens: Vec<(String, String)> = match &args.tokens {
+    let tokens: Vec<(String, String)> = match &o.tokens {
         Some(spec) => {
             let mut table = Vec::new();
             for entry in spec.split(',').filter(|s| !s.is_empty()) {
                 let Some((tok, model)) = entry.trim().split_once('=') else {
                     return Err(format!("--tokens entry {entry:?} is not TOK=MODEL").into());
                 };
-                if !tenants.iter().any(|(n, _, _)| n == model) {
+                if !tenants.iter().any(|t| t.name == model) {
                     return Err(format!("--tokens names unhosted model {model:?}").into());
                 }
                 table.push((tok.to_string(), model.to_string()));
@@ -1626,23 +1150,19 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
         }
         None => tenants
             .iter()
-            .map(|(n, _, _)| (format!("token-{n}"), n.clone()))
+            .map(|t| (format!("token-{}", t.name), t.name.clone()))
             .collect(),
     };
 
-    let mut pool = CircuitPool::new(F64Arith::new());
-    for (name, _, ac) in &tenants {
-        pool.register(name, ac)?;
-    }
     let registry = Arc::new(MetricsRegistry::new());
     let server = Arc::new(Server::start_instrumented(
-        pool,
+        scenario::register(&tenants)?,
         ServeConfig {
-            max_batch: args.max_batch.max(1),
-            max_wait: Duration::from_micros(args.max_wait_us),
-            workers: args.workers.max(1),
-            tenant_quota: args.tenant_quota,
-            cache_capacity: args.cache_capacity,
+            max_batch: o.max_batch.max(1),
+            max_wait: Duration::from_micros(o.max_wait_us),
+            workers: o.workers.max(1),
+            tenant_quota: o.tenant_quota,
+            cache_capacity: o.cache_capacity,
             ..ServeConfig::default()
         },
         Arc::clone(&registry),
@@ -1650,13 +1170,13 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
-            addr: args.addr.clone(),
+            addr: o.addr.clone(),
             tokens: tokens.clone(),
-            http_workers: args.http_workers.max(1),
+            http_workers: o.http_workers.max(1),
             ..GatewayConfig::default()
         },
     )
-    .map_err(|e| format!("cannot bind gateway on {}: {e}", args.addr))?;
+    .map_err(|e| format!("cannot bind gateway on {}: {e}", o.addr))?;
     let addr = gateway.local_addr();
     println!(
         "serve-http: {} models behind POST http://{addr}/v1/query",
@@ -1665,21 +1185,13 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
     for (tok, model) in &tokens {
         println!("  token {tok} -> model {model}");
     }
-    let sidecar = match &args.metrics_addr {
-        Some(maddr) => {
-            let s = Sidecar::start(maddr, Arc::clone(&registry), server.health_fn())
-                .map_err(|e| format!("cannot bind metrics sidecar on {maddr}: {e}"))?;
-            println!("  metrics sidecar: http://{}/metrics", s.local_addr());
-            Some(s)
-        }
-        None => None,
-    };
+    let sidecar = start_sidecar(o, &registry, server.health_fn())?;
 
-    let Some(drive) = args.self_drive else {
+    let Some(drive) = o.self_drive else {
         // Plain serving mode: stay up until killed, or for a bounded
-        // window when --linger-ms is given (the CI smoke uses this).
-        if args.linger_ms > 0 {
-            std::thread::sleep(Duration::from_millis(args.linger_ms));
+        // window when --linger-ms is given.
+        if o.linger_ms > 0 {
+            std::thread::sleep(Duration::from_millis(o.linger_ms));
             gateway.shutdown();
             drop(server); // the Arc's last drop joins the serve workers
             drop(sidecar);
@@ -1691,44 +1203,8 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // --- Self-drive: a seeded mixed trace over real sockets. ---
-    let pools: Vec<Vec<Evidence>> = tenants
-        .iter()
-        .map(|(_, _, ac)| problp::bayes::single_variable_evidences(ac.var_arities()))
-        .collect();
-    let mut rng = TraceRng::new(args.seed);
-    let trace: Vec<(usize, ServeRequest)> = (0..drive.max(1))
-        .map(|_| {
-            let t = rng.below(tenants.len());
-            let (name, net, _) = &tenants[t];
-            let query = match rng.below(3) {
-                0 => BatchQuery::Marginal,
-                1 => BatchQuery::Mpe,
-                _ => BatchQuery::Conditional {
-                    query_var: net.roots().first().copied().unwrap_or(VarId::from_index(0)),
-                },
-            };
-            let evidence = pools[t][rng.below(pools[t].len())].clone();
-            let priority = if rng.below(4) == 0 {
-                Priority::Batch
-            } else {
-                Priority::Interactive
-            };
-            (
-                t,
-                ServeRequest {
-                    model: name.clone(),
-                    evidence,
-                    query,
-                    priority,
-                },
-            )
-        })
-        .collect();
-    println!(
-        "  self-drive: {} requests (seed {})",
-        trace.len(),
-        args.seed
-    );
+    let trace = scenario::trace(&tenants, drive, o.seed, Mix::Uniform { batch_share: 25 });
+    println!("  self-drive: {} requests (seed {})", trace.len(), o.seed);
 
     let token_for = |model: &str| -> Result<&str, String> {
         tokens
@@ -1740,51 +1216,47 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
     let bearer = |tok: &str| [("Authorization", format!("Bearer {tok}"))];
     // The client's own status ledger: the run's last self-check holds
     // the gateway's counters to exactly these numbers.
-    let mut statuses: Vec<(u16, u64)> = Vec::new();
-    let mut count = |code: u16| match statuses.iter_mut().find(|(c, _)| *c == code) {
-        Some((_, n)) => *n += 1,
-        None => statuses.push((code, 1)),
-    };
-    let latency =
-        problp::telemetry::Histogram::new(problp::telemetry::default_latency_buckets_us());
-    let mut latencies_us: Vec<u128> = Vec::with_capacity(trace.len());
-    let mut identical = 0usize;
-    let mut mismatches = 0usize;
-    let mut impossible = 0usize;
+    let mut statuses: std::collections::BTreeMap<u16, u64> = Default::default();
+    let mut count = |code: u16| *statuses.entry(code).or_default() += 1;
+    // One request at a time: the round trip is the latency, and a 429
+    // is the quota's reject.
+    let mut burst = scenario::Burst::default();
     let drive_start = Instant::now();
-    for (i, (_, req)) in trace.iter().enumerate() {
-        let body = gateway_body(req);
-        let tok = token_for(&req.model)?;
+    for (i, req) in trace.iter().enumerate() {
         let sent = Instant::now();
-        let (code, _headers, text) = http_post(&addr, "/v1/query", &bearer(tok), &body)
-            .map_err(|e| format!("request {i} failed: {e}"))?;
+        let (code, _headers, text) = http_post(
+            &addr,
+            "/v1/query",
+            &bearer(token_for(&req.model)?),
+            &gateway_body(req),
+        )
+        .map_err(|e| format!("request {i} failed: {e}"))?;
         let waited = sent.elapsed();
-        latency.observe_duration(waited);
-        latencies_us.push(waited.as_micros());
         count(code);
-        // The uncached per-request reference the socket answer must
-        // reproduce bit for bit.
-        let reference = server.pool().serve_one(req);
-        let ok = match (code, &reference) {
-            (200, Ok(want)) => JsonValue::parse(&text)
-                .ok()
-                .is_some_and(|doc| gateway_reply_matches(&doc, want)),
-            (422, Err(ServeError::ImpossibleEvidence)) => {
-                impossible += 1;
-                text.contains("\"impossible_evidence\"")
-            }
-            _ => false,
-        };
-        if ok {
-            identical += 1;
+        burst.outcomes.push(if code == 429 {
+            None
         } else {
-            mismatches += 1;
-            if mismatches <= 3 {
-                eprintln!("mismatch at request {i}: HTTP {code} {text} vs {reference:?}");
-            }
-        }
+            let answer = http_answer(req, code, &text)
+                .ok_or_else(|| format!("request {i}: unexpected HTTP {code}: {}", text.trim()))?;
+            Some((answer, waited))
+        });
     }
-    let drive_total = drive_start.elapsed();
+    burst.secs = drive_start.elapsed().as_secs_f64();
+    let scalar = scenario::scalar_replay(&tenants, &trace)?;
+    let mismatched = scenario::mismatches(&tenants, server.pool(), &trace, &burst, &scalar);
+    for &i in mismatched.iter().take(3) {
+        eprintln!(
+            "mismatch at request {i}: {:?} answered {:?}",
+            trace[i], burst.outcomes[i]
+        );
+    }
+    let impossible = burst
+        .outcomes
+        .iter()
+        .flatten()
+        .filter(|(answer, _)| matches!(answer, Err(ServeError::ImpossibleEvidence)))
+        .count();
+    let identical = burst.admitted() - mismatched.len();
     println!(
         "  verification: {identical}/{} socket answers bit-identical to serve_one \
          ({impossible} typed impossible-evidence)",
@@ -1793,65 +1265,40 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
 
     // Typed-error probes: each must surface as its mapped status with
     // the stable error slug in a JSON body.
-    let (ref_model, _, _) = &tenants[0];
-    let ref_token = token_for(ref_model)?.to_string();
+    let reference = &tenants[0];
+    let ref_token = token_for(&reference.name)?;
     let good = gateway_body(&ServeRequest {
-        model: ref_model.clone(),
-        evidence: Evidence::empty(tenants[0].2.var_arities().len()),
+        model: reference.name.clone(),
+        evidence: Evidence::empty(reference.circuit.var_arities().len()),
         query: BatchQuery::Marginal,
         priority: Priority::Interactive,
     });
+    let good = good.as_str();
     let bad_shape = r#"{"query": "marginal", "evidence": [null]}"#;
     let oversized = format!(
         r#"{{"query": "marginal", "evidence": [{}null]}}"#,
         "null, ".repeat(20_000)
     );
-    let probes: Vec<(&str, u16, &str, problp::telemetry::HttpResponse)> = vec![
-        (
-            "missing auth",
-            401,
-            "unauthorized",
-            http_post(&addr, "/v1/query", &[], &good)?,
-        ),
-        (
-            "unknown token",
-            401,
-            "unauthorized",
-            http_post(&addr, "/v1/query", &bearer("definitely-wrong"), &good)?,
-        ),
-        (
-            "unknown path",
-            404,
-            "not_found",
-            http_post(&addr, "/v2/query", &bearer(&ref_token), &good)?,
-        ),
-        (
-            "bad method",
-            405,
-            "method_not_allowed",
-            http_request(&addr, "GET", "/v1/query", &bearer(&ref_token), &[])?,
-        ),
-        (
-            "bad json",
-            400,
-            "bad_json",
-            http_post(&addr, "/v1/query", &bearer(&ref_token), "{nope")?,
-        ),
-        (
-            "bad shape",
-            400,
-            "bad_shape",
-            http_post(&addr, "/v1/query", &bearer(&ref_token), bad_shape)?,
-        ),
-        (
-            "oversized body",
-            413,
-            "body_too_large",
-            http_post(&addr, "/v1/query", &bearer(&ref_token), &oversized)?,
-        ),
+    // One row per probe: what, method, path, bearer token ("" for
+    // none), body, then the status and error slug it must produce.
+    #[rustfmt::skip]
+    let probes = [
+        ("missing auth", "POST", "/v1/query", "", good, 401, "unauthorized"),
+        ("unknown token", "POST", "/v1/query", "definitely-wrong", good, 401, "unauthorized"),
+        ("unknown path", "POST", "/v2/query", ref_token, good, 404, "not_found"),
+        ("bad method", "GET", "/v1/query", ref_token, "", 405, "method_not_allowed"),
+        ("bad json", "POST", "/v1/query", ref_token, "{nope", 400, "bad_json"),
+        ("bad shape", "POST", "/v1/query", ref_token, bad_shape, 400, "bad_shape"),
+        ("oversized body", "POST", "/v1/query", ref_token, &oversized, 413, "body_too_large"),
     ];
     let mut parse_rejects = 0u64;
-    for (what, want_code, want_slug, (code, _headers, text)) in probes {
+    for (what, method, path, token, body, want_code, want_slug) in probes {
+        let auth = if token.is_empty() {
+            Vec::new()
+        } else {
+            bearer(token).to_vec()
+        };
+        let (code, _headers, text) = http_request(&addr, method, path, &auth, body.as_bytes())?;
         count(code);
         if code == 413 {
             parse_rejects += 1; // rejected before the body counters
@@ -1870,14 +1317,12 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
     // a long coalescing window holds two requests in flight, so the
     // third must bounce off tenant_quota=2 as a 429 with Retry-After.
     {
-        let mut qpool = CircuitPool::new(F64Arith::new());
-        qpool.register(ref_model, &tenants[0].2)?;
         // The coalescing wait must outlast the 600ms fill window below
         // (so both fillers are still occupying the quota when the probe
         // lands) but stay well under the HTTP client's 2s read timeout,
         // or the fillers time out waiting for their own answers.
         let qserver = Arc::new(Server::start(
-            qpool,
+            scenario::register(std::slice::from_ref(reference))?,
             ServeConfig {
                 max_batch: 1024,
                 max_wait: Duration::from_millis(1200),
@@ -1889,42 +1334,28 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
         let mut qgateway = Gateway::start(
             Arc::clone(&qserver),
             GatewayConfig {
-                tokens: vec![("quota-probe".to_string(), ref_model.clone())],
+                tokens: vec![("quota-probe".to_string(), reference.name.clone())],
                 ..GatewayConfig::default()
             },
         )?;
         let qaddr = qgateway.local_addr();
-        let fill_body = good.clone();
+        let quota_bearer = [("Authorization", "Bearer quota-probe".to_string())];
         let fillers: Vec<_> = (0..2)
             .map(|_| {
-                let body = fill_body.clone();
-                std::thread::spawn(move || {
-                    http_post(
-                        &qaddr,
-                        "/v1/query",
-                        &[("Authorization", "Bearer quota-probe".to_string())],
-                        &body,
-                    )
-                })
+                let (body, auth) = (good.to_string(), quota_bearer.clone());
+                std::thread::spawn(move || http_post(&qaddr, "/v1/query", &auth, &body))
             })
             .collect();
         std::thread::sleep(Duration::from_millis(600));
-        let (code, headers, text) = http_post(
-            &qaddr,
-            "/v1/query",
-            &[("Authorization", "Bearer quota-probe".to_string())],
-            &good,
-        )?;
+        let (code, headers, text) = http_post(&qaddr, "/v1/query", &quota_bearer, good)?;
         if code != 429 || !text.contains("\"quota_exceeded\"") {
             return Err(format!("quota probe: expected 429, got {code}: {}", text.trim()).into());
         }
         let retry_after = headers
             .iter()
             .find(|(n, _)| n == "retry-after")
-            .map(|(_, v)| v.clone());
-        if retry_after.is_none() {
-            return Err("quota probe: 429 without a Retry-After header".into());
-        }
+            .map(|(_, v)| v.clone())
+            .ok_or("quota probe: 429 without a Retry-After header")?;
         for filler in fillers {
             let (code, _h, text) = filler
                 .join()
@@ -1942,10 +1373,7 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
         if !scrape.contains(&needle) {
             return Err(format!("quota instance scrape is missing {needle:?}").into());
         }
-        println!(
-            "  probe quota: 429 quota_exceeded (Retry-After {})",
-            retry_after.unwrap_or_default()
-        );
+        println!("  probe quota: 429 quota_exceeded (Retry-After {retry_after})");
         qgateway.shutdown();
         drop(qserver); // last Arc: Drop joins the quota instance
     }
@@ -1963,7 +1391,7 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
             return Err(format!("gateway scrape is missing {needle:?}").into());
         }
     }
-    let total: u64 = statuses.iter().map(|(_, n)| *n).sum();
+    let total: u64 = statuses.values().sum();
     let parsed = total - parse_rejects;
     for histogram in [
         metric_names::GATEWAY_BODY_BYTES,
@@ -1979,97 +1407,68 @@ fn serve_http(args: &ServeHttpArgs) -> Result<(), Box<dyn std::error::Error>> {
         statuses.len()
     );
 
-    let mut all = latencies_us.clone();
-    all.sort_unstable();
     println!(
-        "  latency (round-trip): p50 {}us  p90 {}us  p99 {}us  max {}us",
-        fmt_us(percentile(&all, 50.0)),
-        fmt_us(percentile(&all, 90.0)),
-        fmt_us(percentile(&all, 99.0)),
-        all.last().copied().unwrap_or(0)
+        "  latency (round-trip): {}",
+        latency_line(&burst.sorted_us(&trace, |_| true))
     );
     println!(
         "  trace: {:>9.2} ms total  ({:>10.0} req/s over sockets)",
-        drive_total.as_secs_f64() * 1e3,
-        trace.len() as f64 / drive_total.as_secs_f64()
+        burst.secs * 1e3,
+        burst.throughput_rps()
     );
-    if mismatches > 0 {
-        return Err(format!("{mismatches} socket answers diverged from serve_one").into());
+    if !mismatched.is_empty() {
+        return Err(format!(
+            "{} socket answers diverged from per-request evaluation",
+            mismatched.len()
+        )
+        .into());
     }
 
-    if let Some(path) = &args.bench_json {
-        let statuses_json = JsonValue::Object(
+    if let Some(path) = &o.bench_json {
+        let statuses_json = problp::telemetry::JsonValue::Object(
             statuses
                 .iter()
-                .map(|(c, n)| (c.to_string(), JsonValue::from(*n as usize)))
+                .map(|(c, n)| (c.to_string(), (*n).into()))
                 .collect(),
         );
-        let rejects: u64 = statuses
-            .iter()
-            .filter(|(c, _)| *c != 200)
-            .map(|(_, n)| *n)
-            .sum();
-        let record = problp::bench::BenchRecord {
-            scenario: "gateway".to_string(),
-            requests: trace.len() as u64,
-            throughput_rps: trace.len() as f64 / drive_total.as_secs_f64(),
-            latency: Some(latency.snapshot()),
-            rejects,
-            extra: vec![
-                ("models".to_string(), JsonValue::from(tenants.len())),
-                (
-                    "http_workers".to_string(),
-                    JsonValue::from(args.http_workers.max(1)),
-                ),
-                ("identical".to_string(), JsonValue::from(identical)),
-                ("statuses".to_string(), statuses_json),
+        // The gateway record's rejects are every non-200 status the
+        // client saw, probes included.
+        let rejects = total - statuses.get(&200).copied().unwrap_or(0);
+        write_bench(
+            path,
+            "gateway",
+            trace.len(),
+            rejects as usize,
+            &burst,
+            vec![
+                ("models", tenants.len().into()),
+                ("http_workers", o.http_workers.max(1).into()),
+                ("identical", identical.into()),
+                ("statuses", statuses_json),
             ],
-        };
-        let text = record.to_json().render_pretty();
-        problp::bench::validate_bench_json(&text)
-            .map_err(|e| format!("emitted bench record is invalid: {e}"))?;
-        std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("  wrote {}", path.display());
+        )?;
     }
 
-    if args.linger_ms > 0 {
-        std::thread::sleep(Duration::from_millis(args.linger_ms));
-    }
+    std::thread::sleep(Duration::from_millis(o.linger_ms));
     gateway.shutdown();
     drop(server); // the Arc's last drop joins the serve workers
     drop(sidecar);
     Ok(())
 }
 
-struct ConformanceArgs {
-    /// Comma-separated built-in network names or `.bn` paths (`None`
-    /// defaults to `sprinkler,asia`).
-    models: Option<String>,
-    /// Seeded random networks to append (`None` = 2 when no `--models`
-    /// given, else 0).
-    random: Option<usize>,
-    batch: usize,
-    seed: u64,
-    /// Comma-separated arithmetics (`f64 | fixed:I.F | float:E.M`);
-    /// `None` = all three defaults.
-    repr: Option<String>,
-    /// Corrupt this backend's stream (harness self-test).
-    inject_fault: Option<String>,
-}
-
 /// Runs the differential conformance cross-check of
 /// `problp::conformance` and fails (non-zero exit) on any backend
 /// diverging from the scalar reference.
-fn conformance(args: &ConformanceArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn conformance(o: &Opts) -> Result<(), Box<dyn Error>> {
     use problp::conformance::{
         random_models, run_conformance, ArithSpec, BackendKind, ConformanceConfig,
     };
 
-    let mut models: Vec<(String, BayesNet)> = match &args.models {
-        Some(spec) => load_models(spec, args.seed)?,
+    let mut models: Vec<(String, BayesNet)> = match &o.models {
+        Some(spec) => load_models(spec, o.seed)?,
         None => Vec::new(),
     };
-    let random = args.random.unwrap_or(if models.is_empty() { 2 } else { 0 });
+    let random = o.random.unwrap_or(if models.is_empty() { 2 } else { 0 });
     if models.is_empty() && random == 0 {
         return Err("conformance needs at least one model (--models or --random)".into());
     }
@@ -2080,14 +1479,14 @@ fn conformance(args: &ConformanceArgs) -> Result<(), Box<dyn std::error::Error>>
         ));
         models.push(("asia".to_string(), problp::bayes::networks::asia()));
     }
-    models.extend(random_models(args.seed, random));
+    models.extend(random_models(o.seed, random));
 
     let mut config = ConformanceConfig {
-        batch: args.batch.max(1),
-        seed: args.seed,
+        batch: o.batch.unwrap_or(256).max(1),
+        seed: o.seed,
         ..ConformanceConfig::default()
     };
-    if let Some(spec) = &args.repr {
+    if let Some(spec) = &o.repr {
         let mut ariths = Vec::new();
         for entry in spec.split(',').filter(|s| !s.is_empty()) {
             let Some(a) = ArithSpec::parse(entry.trim()) else {
@@ -2103,7 +1502,7 @@ fn conformance(args: &ConformanceArgs) -> Result<(), Box<dyn std::error::Error>>
         }
         config.ariths = ariths;
     }
-    if let Some(backend) = &args.inject_fault {
+    if let Some(backend) = &o.inject_fault {
         let Some(b) = BackendKind::parse(backend) else {
             let names: Vec<&str> = BackendKind::ALL.iter().map(|b| b.name()).collect();
             return Err(format!(
@@ -2127,19 +1526,6 @@ fn conformance(args: &ConformanceArgs) -> Result<(), Box<dyn std::error::Error>>
         )
         .into())
     }
-}
-
-struct VerifyArgs {
-    /// Comma-separated built-in network names or `.bn` paths (`None`
-    /// defaults to `sprinkler,asia`).
-    models: Option<String>,
-    /// Comma-separated arithmetics for the range analysis (`None` =
-    /// `f64,fixed:2.14,float:8.23`).
-    repr: Option<String>,
-    seed: u64,
-    /// Mutate each tape before verification (red-path self-test); the
-    /// run then *must* fail.
-    corrupt: Option<String>,
 }
 
 /// Applies one named corruption class to a compiled tape through the
@@ -2208,19 +1594,16 @@ fn apply_corruption(tape: &mut problp::engine::Tape, class: &str) -> Result<(), 
 /// fused streams, Layer-2 range analysis per arithmetic, and the
 /// minimal-safe-fixed-format search. Returns `Ok(false)` (and prints
 /// `verdict: FAIL`) if any tape is rejected.
-fn verify_tapes(args: &VerifyArgs) -> Result<bool, Box<dyn std::error::Error>> {
+fn verify_tapes(o: &Opts) -> Result<bool, Box<dyn Error>> {
     use problp::engine::Tape;
     use problp::telemetry::{metric_names, MetricsRegistry};
     use problp::verify::{analyze, minimal_fixed_format, ArithSpec, VerifyMetrics};
 
-    let models = load_models(
-        args.models.as_deref().unwrap_or("sprinkler,asia"),
-        args.seed,
-    )?;
+    let models = load_models(o.models.as_deref().unwrap_or("sprinkler,asia"), o.seed)?;
     if models.is_empty() {
         return Err("verify needs at least one model (--models)".into());
     }
-    let spec = args.repr.as_deref().unwrap_or("f64,fixed:2.14,float:8.23");
+    let spec = o.repr.as_deref().unwrap_or("f64,fixed:2.14,float:8.23");
     let mut ariths: Vec<ArithSpec> = Vec::new();
     for entry in spec.split(',').filter(|s| !s.is_empty()) {
         let Some(a) = ArithSpec::parse(entry.trim()) else {
@@ -2237,7 +1620,7 @@ fn verify_tapes(args: &VerifyArgs) -> Result<bool, Box<dyn std::error::Error>> {
 
     let registry = MetricsRegistry::new();
     let metrics = VerifyMetrics::new(&registry);
-    if let Some(class) = &args.corrupt {
+    if let Some(class) = &o.corrupt {
         eprintln!("corrupting every tape with class {class} (verifier self-test)");
     }
 
@@ -2254,7 +1637,7 @@ fn verify_tapes(args: &VerifyArgs) -> Result<bool, Box<dyn std::error::Error>> {
     for (name, net) in &models {
         let ac = compile(net)?;
         let mut tape = Tape::compile(&ac, Semiring::SumProduct)?;
-        if let Some(class) = &args.corrupt {
+        if let Some(class) = &o.corrupt {
             apply_corruption(&mut tape, class)?;
         }
 
@@ -2322,7 +1705,7 @@ const LINT_SCOPE_DIRS: [&str; 2] = ["crates/engine/src/serve", "crates/telemetry
 /// outside test code in the lint scope. Allowlist entries are
 /// `file-suffix: line-substring` lines in `allow_path`; `#` comments
 /// and blank lines are skipped. Returns `Ok(false)` on violations.
-fn lint_src(allow_path: &std::path::Path) -> Result<bool, Box<dyn std::error::Error>> {
+fn lint_src(allow_path: &std::path::Path) -> Result<bool, Box<dyn Error>> {
     let mut files = Vec::new();
     for scope in LINT_SCOPE_DIRS {
         let dir = std::fs::read_dir(scope)
@@ -2398,28 +1781,31 @@ fn lint_src(allow_path: &std::path::Path) -> Result<bool, Box<dyn std::error::Er
     }
 }
 
+/// `run`: the full pipeline on `circuit`, writing the report, the
+/// Verilog and a self-checking testbench into `--out-dir`.
 fn execute(
     net: &BayesNet,
     circuit: &AcGraph,
-    args: &RunArgs,
-) -> Result<(), Box<dyn std::error::Error>> {
+    network: &Path,
+    o: &Opts,
+) -> Result<(), Box<dyn Error>> {
     let report = Problp::new(circuit)
-        .query(args.query)
-        .tolerance(args.tolerance)
+        .query(o.query)
+        .tolerance(o.tolerance)
         .run()?;
     println!("{report}");
 
-    std::fs::create_dir_all(&args.out_dir)?;
-    let report_path = args.out_dir.join("report.txt");
+    std::fs::create_dir_all(&o.out_dir)?;
+    let report_path = o.out_dir.join("report.txt");
     std::fs::write(
         &report_path,
         format!(
             "network: {}\noptimized: {}\n{report}\n",
-            args.network.display(),
-            args.optimize
+            network.display(),
+            o.optimize
         ),
     )?;
-    let rtl_path = args.out_dir.join("problp_ac_top.v");
+    let rtl_path = o.out_dir.join("problp_ac_top.v");
     std::fs::write(&rtl_path, &report.hardware.verilog)?;
 
     // A self-checking testbench over a few canonical vectors.
@@ -2431,7 +1817,7 @@ fn execute(
         e.observe(VarId::from_index(v), 0);
         vectors.push(e);
     }
-    let tb_path = args.out_dir.join("problp_ac_tb.v");
+    let tb_path = o.out_dir.join("problp_ac_tb.v");
     std::fs::write(&tb_path, problp::hw::emit_testbench(&netlist, &vectors)?)?;
 
     println!(
