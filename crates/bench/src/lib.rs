@@ -1593,12 +1593,7 @@ pub fn qos_study(requests: usize, seed: u64) -> Result<QosStudy, problp_engine::
     // ~70% of the trace hammers Alarm on the Interactive lane (the hot
     // tenant); the rest is Batch-priority background traffic on the
     // small models.
-    let trace = scenario::trace(
-        &tenants,
-        requests,
-        seed,
-        scenario::Mix::Hot { hot_share: 70 },
-    );
+    let trace = scenario::trace(&tenants, requests, seed, scenario::Mix::Hot);
     let scalar = scenario::scalar_replay(&tenants, &trace)?;
     // A quota above each background tenant's *total* trace share (~15%
     // per model) but far below the hot tenant's ~70% flood: only the

@@ -118,14 +118,14 @@ pub enum Mix {
         /// Percentage of the trace on the Batch lane.
         batch_share: u64,
     },
-    /// `hot_share` percent of the requests flood tenant 0 on the
+    /// 70% of the requests (`HOT_SHARE`) flood tenant 0 on the
     /// Interactive lane; the rest spread uniformly over the other
     /// tenants on the Batch lane.
-    Hot {
-        /// Percentage of the trace on the hot tenant.
-        hot_share: u64,
-    },
+    Hot,
 }
+
+/// Percentage of a [`Mix::Hot`] trace on the hot tenant.
+const HOT_SHARE: u64 = 70;
 
 /// A seeded trace of `requests.max(1)` requests: tenant and priority
 /// from `mix`, a uniform query kind ([`Tenant::query`]) and a uniform
@@ -149,10 +149,8 @@ pub fn trace(tenants: &[Tenant], requests: usize, seed: u64, mix: Mix) -> Vec<Se
                         Priority::Interactive
                     },
                 ),
-                Mix::Hot { hot_share } if roll < hot_share || tenants.len() < 2 => {
-                    (0, Priority::Interactive)
-                }
-                Mix::Hot { .. } => (1 + rng.random_range(0..tenants.len() - 1), Priority::Batch),
+                Mix::Hot if roll < HOT_SHARE || tenants.len() < 2 => (0, Priority::Interactive),
+                Mix::Hot => (1 + rng.random_range(0..tenants.len() - 1), Priority::Batch),
             };
             let tenant = &tenants[t];
             let query = tenant.query(rng.random_range(0..3));
@@ -504,7 +502,7 @@ mod tests {
     #[test]
     fn a_hot_mix_floods_tenant_zero_on_the_interactive_lane_only() {
         let t = two_tenants();
-        let hot = trace(&t, 200, 7, Mix::Hot { hot_share: 70 });
+        let hot = trace(&t, 200, 7, Mix::Hot);
         for r in &hot {
             assert_eq!(r.model == "sprinkler", r.priority == Priority::Interactive);
         }

@@ -384,13 +384,16 @@ fn main() -> ExitCode {
         "lint-src" => lint_src(&o.allow),
         // Runs on the packaged classifier benchmarks, no network file.
         "accuracy" => accuracy(&o).map(|()| true),
-        "info" | "run" | "throughput" | "export" => {
+        "export" => {
+            let (Some(network), Some(dot)) = (&o.network, &o.dot) else {
+                return usage();
+            };
+            export(network, dot, &o).map(|()| true)
+        }
+        "info" | "run" | "throughput" => {
             let Some(network) = &o.network else {
                 return usage();
             };
-            if command == "export" && o.dot.is_none() {
-                return usage();
-            }
             on_network(command, network, &o).map(|()| true)
         }
         _ => return usage(),
@@ -416,19 +419,32 @@ fn accuracy(o: &Opts) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// The single-network commands: load and compile `network` (optimized
-/// with `--optimize`), then run `command` on it.
-fn on_network(command: &str, network: &Path, o: &Opts) -> Result<(), Box<dyn Error>> {
+/// Loads and compiles `network`, optimized with `--optimize`.
+fn load_circuit(network: &Path, o: &Opts) -> Result<(BayesNet, AcGraph), Box<dyn Error>> {
     let net = load_network(network)?;
     let circuit = compile(&net).map_err(|e| format!("compilation failed: {e}"))?;
-    let circuit = if o.optimize {
-        let (opt, stats) =
-            problp::ac::optimize(&circuit).map_err(|e| format!("optimisation failed: {e}"))?;
-        eprintln!("optimized: {stats}");
-        opt
-    } else {
-        circuit
-    };
+    if !o.optimize {
+        return Ok((net, circuit));
+    }
+    let (opt, stats) =
+        problp::ac::optimize(&circuit).map_err(|e| format!("optimisation failed: {e}"))?;
+    eprintln!("optimized: {stats}");
+    Ok((net, opt))
+}
+
+/// `export`: writes the compiled circuit of `network` to `dot`.
+fn export(network: &Path, dot: &Path, o: &Opts) -> Result<(), Box<dyn Error>> {
+    let (_, circuit) = load_circuit(network, o)?;
+    std::fs::write(dot, circuit.to_dot())
+        .map_err(|e| format!("cannot write {}: {e}", dot.display()))?;
+    println!("wrote {}", dot.display());
+    Ok(())
+}
+
+/// The other single-network commands: run `command` on the compiled
+/// `network`.
+fn on_network(command: &str, network: &Path, o: &Opts) -> Result<(), Box<dyn Error>> {
+    let (net, circuit) = load_circuit(network, o)?;
     match command {
         "info" => {
             println!("network: {net}");
@@ -437,13 +453,6 @@ fn on_network(command: &str, network: &Path, o: &Opts) -> Result<(), Box<dyn Err
                 Ok(bin) => println!("binarized: {}", bin.stats()),
                 Err(e) => eprintln!("error: {e}"),
             }
-            Ok(())
-        }
-        "export" => {
-            let dot = o.dot.as_deref().ok_or("export needs --dot FILE")?;
-            std::fs::write(dot, circuit.to_dot())
-                .map_err(|e| format!("cannot write {}: {e}", dot.display()))?;
-            println!("wrote {}", dot.display());
             Ok(())
         }
         "throughput" => throughput(
@@ -1218,8 +1227,9 @@ fn serve_http(o: &Opts) -> Result<(), Box<dyn Error>> {
     // the gateway's counters to exactly these numbers.
     let mut statuses: std::collections::BTreeMap<u16, u64> = Default::default();
     let mut count = |code: u16| *statuses.entry(code).or_default() += 1;
-    // One request at a time: the round trip is the latency, and a 429
-    // is the quota's reject.
+    // One request at a time: the round trip is the latency. A 429 is
+    // the quota's reject when a quota is set; without one it fails the
+    // run like any other unexpected status.
     let mut burst = scenario::Burst::default();
     let drive_start = Instant::now();
     for (i, req) in trace.iter().enumerate() {
@@ -1233,7 +1243,7 @@ fn serve_http(o: &Opts) -> Result<(), Box<dyn Error>> {
         .map_err(|e| format!("request {i} failed: {e}"))?;
         let waited = sent.elapsed();
         count(code);
-        burst.outcomes.push(if code == 429 {
+        burst.outcomes.push(if code == 429 && o.tenant_quota > 0 {
             None
         } else {
             let answer = http_answer(req, code, &text)

@@ -75,4 +75,7 @@ fn a_valued_flag_without_its_value_is_a_usage_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
     let out = problp(&["serve-sim", "--models", "sprinkler,asia", "--requests"]);
     assert_eq!(out.status.code(), Some(2));
+    // `export` needs `--dot`; the file named by `--network` is never read.
+    let out = problp(&["export", "--network", "F"]);
+    assert_eq!(out.status.code(), Some(2));
 }
