@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer pass over the concurrency-sensitive paths: the lock-free
-# telemetry registry (atomic counter merges) and the serve-layer request
-# coalescing (dispatcher shards + waiter handoff).
+# telemetry registry (atomic counter merges), the HTTP server core both
+# front ends share (accept thread -> worker pool -> stop flag) and the
+# serve-layer request coalescing (dispatcher shards + waiter handoff).
 #
 # TSan needs a nightly toolchain (-Zsanitizer=thread) and, for a fully
 # instrumented std, -Zbuild-std + the rust-src component. The job is
@@ -25,12 +26,16 @@ rustup component add rust-src --toolchain nightly >/dev/null 2>&1 || true
 
 TARGET=x86_64-unknown-linux-gnu
 
-# The two tests TSan gates: the registry's cross-thread counter sum and
-# the end-to-end coalescing trace (batched answers handed back to
-# per-request waiters across shards).
+# The three tests TSan gates: the registry's cross-thread counter sum,
+# the HTTP server's shed + shutdown path (the one accept loop the
+# metrics sidecar and the query gateway share), and the end-to-end
+# coalescing trace (batched answers handed back to per-request waiters
+# across shards).
 run_tests() {
     cargo +nightly test "$@" --target "$TARGET" \
         -p problp-telemetry concurrent_counter_increments_sum_exactly &&
+    cargo +nightly test "$@" --target "$TARGET" \
+        -p problp-telemetry --lib full_queue_is_shed_and_shutdown_is_prompt &&
     cargo +nightly test "$@" --target "$TARGET" \
         -p problp-engine --lib mixed_tenant_trace_is_bit_identical_to_serve_one
 }

@@ -17,6 +17,15 @@ pub enum EngineError {
         /// Variables in the compiled circuit.
         circuit: usize,
     },
+    /// An observed evidence state is not a state of its variable.
+    StateOutOfRange {
+        /// The offending variable index.
+        var: usize,
+        /// The observed state.
+        state: usize,
+        /// The variable's number of states.
+        arity: usize,
+    },
     /// The operation reads per-node values and needs a full-values tape
     /// (`Tape::compile_full` / `Engine::from_graph_full`).
     NeedsFullValues,
@@ -57,6 +66,10 @@ impl std::fmt::Display for EngineError {
             EngineError::BatchLengthMismatch { batch, circuit } => write!(
                 f,
                 "evidence batch ranges over {batch} variables but the circuit has {circuit}"
+            ),
+            EngineError::StateOutOfRange { var, state, arity } => write!(
+                f,
+                "evidence observes state {state} of variable {var}, which has {arity} states"
             ),
             EngineError::NeedsFullValues => write!(
                 f,

@@ -325,6 +325,7 @@ mod tests {
     use super::super::{CircuitPool, Server};
     use super::*;
     use problp_ac::compile;
+    use problp_bayes::VarId;
 
     #[test]
     fn admission_rejects_unknown_models_and_bad_shapes() {
@@ -347,6 +348,24 @@ mod tests {
             ragged,
             Err(ServeError::Engine(EngineError::BatchLengthMismatch { .. }))
         ));
+        // Every sprinkler variable is binary: state 7 is out of range.
+        let mut evidence = Evidence::empty(4);
+        evidence.observe(VarId::from_index(0), 7);
+        let bad_state = server.submit(ServeRequest {
+            model: "sprinkler".to_string(),
+            evidence,
+            query: BatchQuery::Mpe,
+            priority: Priority::Interactive,
+        });
+        assert!(matches!(
+            bad_state,
+            Err(ServeError::Engine(EngineError::StateOutOfRange {
+                var: 0,
+                state: 7,
+                arity: 2
+            }))
+        ));
+        assert_eq!(server.stats().rejected_bad_shape, 2);
         server.shutdown();
     }
 

@@ -13,25 +13,28 @@
 //! | outcome | status | body `error` |
 //! |---|---|---|
 //! | answered | 200 | — |
-//! | bad JSON (nesting past [`problp_telemetry::json::MAX_DEPTH`] included) / bad field / bad evidence shape | 400 | `bad_json` / `bad_request` / `bad_shape` |
+//! | bad JSON (nesting past [`problp_telemetry::json::MAX_DEPTH`] included) / bad field / bad evidence shape or out-of-range state | 400 | `bad_json` / `bad_request` / `bad_shape` |
 //! | missing or unknown bearer token | 401 | `unauthorized` |
 //! | token maps to an unhosted model | 404 | `unknown_model` |
 //! | non-POST on `/v1/query` | 405 | `method_not_allowed` |
 //! | client stalled mid-request | 408 | `timeout` |
-//! | body over [`GatewayConfig::max_body`] | 413 | `body_too_large` |
+//! | body over 64 KiB | 413 | `body_too_large` |
 //! | impossible conditional evidence | 422 | `impossible_evidence` |
 //! | [`ServeError::QuotaExceeded`] | 429 + `Retry-After` | `quota_exceeded` |
-//! | head over [`GatewayConfig::max_head`] | 431 | `head_too_large` |
+//! | head over 8 KiB | 431 | `head_too_large` |
 //! | engine failure / internal invariant | 500 | `engine` / `internal` |
 //! | shutdown, answer deadline, full worker queue | 503 | `shutting_down` / `timeout` / `overloaded` |
 //!
-//! Unlike the scrape sidecar's two-worker pool, the gateway sizes its
-//! bounded [`WorkerPool`] for query traffic
-//! ([`GatewayConfig::http_workers`]), applies per-connection read/write
-//! deadlines, and instruments every response:
-//! `problp_gateway_requests_total{status=...}`,
-//! `problp_gateway_body_bytes`, `problp_gateway_handler_us` (see
-//! [`problp_telemetry::metric_names`]).
+//! The gateway is only these routes: it runs on the shared
+//! [`HttpServer`] core, like the scrape sidecar, which binds, accepts,
+//! enforces the size limits and 2-second socket deadlines, and asks the
+//! gateway for each answer. Unlike the sidecar's two workers, the
+//! gateway sizes its worker pool for query traffic
+//! ([`GatewayConfig::http_workers`]). It counts every response it
+//! answers, sheds and protocol rejects included, in
+//! `problp_gateway_requests_total{status=...}`; parsed requests also
+//! feed `problp_gateway_body_bytes` and `problp_gateway_handler_us`
+//! (see [`problp_telemetry::metric_names`]).
 //!
 //! # Request body
 //!
@@ -85,18 +88,15 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use problp_bayes::{BatchQuery, Evidence, VarId};
 use problp_num::{Arith, Flags};
 use problp_telemetry::{
-    default_latency_buckets_us, metric_names, read_request, write_response, Counter, HttpError,
-    HttpLimits, HttpRequest, JsonValue, MetricsRegistry, WorkerPool,
+    default_latency_buckets_us, metric_names, Counter, HttpAnswer, HttpError, HttpLimits,
+    HttpRequest, HttpServer, Incoming, JsonValue, MetricsRegistry,
 };
 
 use super::admission::{Priority, ServeError, ServeRequest, ServeResponse};
@@ -104,6 +104,16 @@ use super::metrics::query_kind_name;
 use super::server::Server;
 use crate::error::EngineError;
 use crate::kernels::KernelSet;
+
+/// Connections queued for the workers before the accept loop sheds
+/// load with an immediate 503.
+const HTTP_BACKLOG: usize = 64;
+/// How long a handler waits on the request's [`super::Ticket`] before
+/// answering 503 (the request itself stays in flight).
+const ANSWER_DEADLINE: Duration = Duration::from_secs(10);
+/// The `Retry-After` advertised on a 429 quota reject, seconds.
+const RETRY_AFTER_SECS: u64 = 1;
+const JSON: &str = "application/json; charset=utf-8";
 
 /// The gateway's deployment knobs. `Default` binds an OS-assigned
 /// loopback port with an empty token table (every request 401s until
@@ -119,20 +129,6 @@ pub struct GatewayConfig {
     /// Connection-handling worker threads (the bounded pool between the
     /// accept loop and the handlers).
     pub http_workers: usize,
-    /// Connections queued for the workers before the accept loop sheds
-    /// load with an immediate 503.
-    pub backlog: usize,
-    /// Max request-line + header bytes before a 431.
-    pub max_head: usize,
-    /// Max declared body bytes before a 413 (the body is not read).
-    pub max_body: usize,
-    /// Per-connection socket read/write deadline.
-    pub io_timeout: Duration,
-    /// How long a handler waits on the request's [`super::Ticket`]
-    /// before answering 503 (the request itself stays in flight).
-    pub answer_deadline: Duration,
-    /// The `Retry-After` advertised on a 429 quota reject.
-    pub retry_after: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -141,12 +137,6 @@ impl Default for GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
             tokens: Vec::new(),
             http_workers: 4,
-            backlog: 64,
-            max_head: 8 * 1024,
-            max_body: 64 * 1024,
-            io_timeout: Duration::from_secs(2),
-            answer_deadline: Duration::from_secs(10),
-            retry_after: Duration::from_secs(1),
         }
     }
 }
@@ -164,7 +154,9 @@ pub fn error_status(e: &ServeError) -> (u16, &'static str) {
         ServeError::ShutDown => (503, "shutting_down"),
         ServeError::Disconnected => (503, "disconnected"),
         ServeError::ImpossibleEvidence => (422, "impossible_evidence"),
-        ServeError::Engine(EngineError::BatchLengthMismatch { .. }) => (400, "bad_shape"),
+        ServeError::Engine(
+            EngineError::BatchLengthMismatch { .. } | EngineError::StateOutOfRange { .. },
+        ) => (400, "bad_shape"),
         ServeError::Engine(_) => (500, "engine"),
         ServeError::LaneCountMismatch { .. } => (500, "internal"),
     }
@@ -175,7 +167,7 @@ pub fn error_status(e: &ServeError) -> (u16, &'static str) {
 const KNOWN_STATUSES: [u16; 12] = [200, 400, 401, 404, 405, 408, 413, 422, 429, 431, 500, 503];
 
 /// Body-size histogram buckets, bytes: queries are small JSON, so the
-/// top bucket sits at the default max-body cap.
+/// top bucket sits at the max-body cap.
 const BODY_BUCKETS: [u64; 6] = [256, 1024, 4096, 16384, 65536, 262144];
 
 struct GatewayMetrics {
@@ -228,40 +220,19 @@ impl GatewayMetrics {
     }
 }
 
-/// One response decision: status, optional extra headers, JSON body.
-struct Reply {
-    code: u16,
-    retry_after: Option<u64>,
-    body: JsonValue,
-}
-
-impl Reply {
-    fn ok(body: JsonValue) -> Reply {
-        Reply {
-            code: 200,
-            retry_after: None,
-            body,
-        }
-    }
-
-    fn error(code: u16, slug: &str, message: String) -> Reply {
-        Reply {
-            code,
-            retry_after: None,
-            body: JsonValue::Object(vec![
-                ("error".to_string(), JsonValue::from(slug)),
-                ("message".to_string(), JsonValue::from(message)),
-            ]),
-        }
-    }
+/// A `{"error": slug, "message": ...}` answer.
+fn error_answer(code: u16, slug: &str, message: String) -> HttpAnswer {
+    let body = JsonValue::Object(vec![
+        ("error".to_string(), JsonValue::from(slug)),
+        ("message".to_string(), JsonValue::from(message)),
+    ]);
+    HttpAnswer::new(code, JSON, body.render())
 }
 
 /// A running gateway; stops accepting and joins its threads when
 /// dropped (the [`Server`] it fronts is independent and keeps running).
 pub struct Gateway {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
+    http: HttpServer,
 }
 
 impl Gateway {
@@ -275,190 +246,82 @@ impl Gateway {
         A: KernelSet + Clone + Send + Sync + 'static,
         A::Value: Clone + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let metrics = Arc::new(GatewayMetrics::new(server.metrics()));
-        let tokens: Arc<HashMap<String, String>> =
-            Arc::new(config.tokens.iter().cloned().collect());
-        let config = Arc::new(config);
-        let handle = thread::Builder::new()
-            .name("problp-gateway-accept".to_string())
-            .spawn(move || accept_loop(listener, server, config, tokens, metrics, stop_flag))?;
-        Ok(Gateway {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
+        let metrics = GatewayMetrics::new(server.metrics());
+        let tokens: HashMap<String, String> = config.tokens.into_iter().collect();
+        let http = HttpServer::start(
+            &config.addr,
+            "problp-gateway",
+            config.http_workers,
+            HTTP_BACKLOG,
+            HttpLimits::default(),
+            move |incoming| {
+                let answer = match incoming {
+                    Incoming::Request(request) => {
+                        metrics.body_bytes.observe(request.body.len() as u64);
+                        let started = Instant::now();
+                        let answer = route(request, &server, &tokens);
+                        metrics.handler_us.observe_duration(started.elapsed());
+                        answer
+                    }
+                    Incoming::Reject { code, error } => {
+                        let slug = match error {
+                            HttpError::HeadTooLarge { .. } => "head_too_large",
+                            HttpError::BodyTooLarge { .. } => "body_too_large",
+                            HttpError::Timeout => "timeout",
+                            _ => "bad_request",
+                        };
+                        error_answer(code, slug, error.to_string())
+                    }
+                    Incoming::Overloaded => error_answer(
+                        503,
+                        "overloaded",
+                        "gateway worker queue is full; retry".to_string(),
+                    ),
+                };
+                metrics.status_counter(answer.code).inc();
+                answer
+            },
+        )?;
+        Ok(Gateway { http })
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// Stops the accept loop, drains the worker queue and joins every
     /// gateway thread.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.http.shutdown();
     }
-}
-
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop<A>(
-    listener: TcpListener,
-    server: Arc<Server<A>>,
-    config: Arc<GatewayConfig>,
-    tokens: Arc<HashMap<String, String>>,
-    metrics: Arc<GatewayMetrics>,
-    stop: Arc<AtomicBool>,
-) where
-    A: KernelSet + Clone + Send + Sync + 'static,
-    A::Value: Clone + Send + Sync + 'static,
-{
-    let handler: Arc<dyn Fn(TcpStream) + Send + Sync> = {
-        let config = Arc::clone(&config);
-        let metrics = Arc::clone(&metrics);
-        Arc::new(move |stream| {
-            let _ = handle_connection(stream, &server, &config, &tokens, &metrics);
-        })
-    };
-    let pool = WorkerPool::new(
-        "problp-gateway",
-        config.http_workers,
-        config.backlog,
-        handler,
-    );
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if let Err(stream) = pool.dispatch(stream) {
-                    let _ = shed_load(stream, &metrics);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// Answers a connection the worker pool could not take: an immediate
-/// 503 under a short write timeout, so backpressure is visible to the
-/// client instead of an unbounded accept queue.
-fn shed_load(mut stream: TcpStream, metrics: &GatewayMetrics) -> io::Result<()> {
-    stream.set_write_timeout(Some(Duration::from_millis(100)))?;
-    let reply = Reply::error(
-        503,
-        "overloaded",
-        "gateway worker queue is full; retry".to_string(),
-    );
-    send_reply(&mut stream, metrics, &reply)
-}
-
-fn send_reply(stream: &mut TcpStream, metrics: &GatewayMetrics, reply: &Reply) -> io::Result<()> {
-    metrics.status_counter(reply.code).inc();
-    let mut extra: Vec<(&str, String)> = Vec::new();
-    if let Some(secs) = reply.retry_after {
-        extra.push(("Retry-After", secs.to_string()));
-    }
-    write_response(
-        stream,
-        reply.code,
-        "application/json; charset=utf-8",
-        &extra,
-        reply.body.render().as_bytes(),
-    )
-}
-
-fn handle_connection<A>(
-    stream: TcpStream,
-    server: &Server<A>,
-    config: &GatewayConfig,
-    tokens: &HashMap<String, String>,
-    metrics: &GatewayMetrics,
-) -> io::Result<()>
-where
-    A: KernelSet + Clone + Send + Sync + 'static,
-    A::Value: Clone + Send + Sync + 'static,
-{
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(config.io_timeout))?;
-    stream.set_write_timeout(Some(config.io_timeout))?;
-    let limits = HttpLimits {
-        max_head: config.max_head,
-        max_body: config.max_body,
-    };
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
-    let request = match read_request(&mut reader, &limits) {
-        Ok(request) => request,
-        Err(e) => {
-            let Some((code, _)) = e.status() else {
-                // The socket died; nobody is left to answer.
-                return Ok(());
-            };
-            let slug = match e {
-                HttpError::HeadTooLarge { .. } => "head_too_large",
-                HttpError::BodyTooLarge { .. } => "body_too_large",
-                HttpError::Timeout => "timeout",
-                _ => "bad_request",
-            };
-            send_reply(
-                &mut stream,
-                metrics,
-                &Reply::error(code, slug, e.to_string()),
-            )?;
-            // Drain the rejected request briefly so closing does not
-            // RST the error response out of the client's buffer.
-            problp_telemetry::httpd::drain_rejected(&stream, &mut reader);
-            return Ok(());
-        }
-    };
-    metrics.body_bytes.observe(request.body.len() as u64);
-    let started = Instant::now();
-    let reply = route(&request, server, config, tokens);
-    metrics.handler_us.observe_duration(started.elapsed());
-    send_reply(&mut stream, metrics, &reply)
 }
 
 fn route<A>(
     request: &HttpRequest,
     server: &Server<A>,
-    config: &GatewayConfig,
     tokens: &HashMap<String, String>,
-) -> Reply
+) -> HttpAnswer
 where
     A: KernelSet + Clone + Send + Sync + 'static,
     A::Value: Clone + Send + Sync + 'static,
 {
     if request.path != "/v1/query" {
-        return Reply::error(
+        return error_answer(
             404,
             "not_found",
             format!("unknown path {:?}; try POST /v1/query", request.path),
         );
     }
     if request.method != "POST" {
-        return Reply::error(
+        return error_answer(
             405,
             "method_not_allowed",
             "/v1/query only accepts POST".to_string(),
         );
     }
     let Some(model) = bearer_model(request, tokens) else {
-        return Reply::error(
+        return error_answer(
             401,
             "unauthorized",
             "missing or unknown bearer token".to_string(),
@@ -466,25 +329,31 @@ where
     };
     let (evidence, query, priority) = match decode_query(&request.body) {
         Ok(parts) => parts,
-        Err((code, slug, message)) => return Reply::error(code, slug, message),
+        Err((code, slug, message)) => return error_answer(code, slug, message),
     };
-    let ticket = match server.submit(ServeRequest {
-        model: model.clone(),
-        evidence,
-        query,
-        priority,
-    }) {
-        Ok(ticket) => ticket,
-        Err(e) => return serve_error_reply(&e, config),
-    };
-    match ticket.wait_deadline(config.answer_deadline) {
-        Ok(response) => Reply::ok(render_response(
-            server.pool().context(),
-            &model,
+    let answered = server
+        .submit(ServeRequest {
+            model: model.clone(),
+            evidence,
             query,
-            &response,
-        )),
-        Err(e) => serve_error_reply(&e, config),
+            priority,
+        })
+        .and_then(|ticket| ticket.wait_deadline(ANSWER_DEADLINE));
+    match answered {
+        Ok(response) => {
+            let body = render_response(server.pool().context(), &model, query, &response);
+            HttpAnswer::new(200, JSON, body.render())
+        }
+        Err(e) => {
+            let (code, slug) = error_status(&e);
+            let mut answer = error_answer(code, slug, e.to_string());
+            if code == 429 {
+                answer
+                    .headers
+                    .push(("Retry-After", RETRY_AFTER_SECS.to_string()));
+            }
+            answer
+        }
     }
 }
 
@@ -496,15 +365,6 @@ fn bearer_model(request: &HttpRequest, tokens: &HashMap<String, String>) -> Opti
         return None;
     }
     tokens.get(token.trim()).cloned()
-}
-
-fn serve_error_reply(e: &ServeError, config: &GatewayConfig) -> Reply {
-    let (code, slug) = error_status(e);
-    let mut reply = Reply::error(code, slug, e.to_string());
-    if code == 429 {
-        reply.retry_after = Some(config.retry_after.as_secs().max(1));
-    }
-    reply
 }
 
 /// Decodes one `/v1/query` body into the submit arguments, or the

@@ -292,7 +292,8 @@ pub struct ServerStats {
     /// Rejects with [`super::ServeError::UnknownModel`].
     pub rejected_unknown_model: u64,
     /// Rejects with a shape mismatch
-    /// ([`crate::EngineError::BatchLengthMismatch`]).
+    /// ([`crate::EngineError::BatchLengthMismatch`]) or an out-of-range
+    /// evidence state ([`crate::EngineError::StateOutOfRange`]).
     pub rejected_bad_shape: u64,
     /// Rejects with [`super::ServeError::QuotaExceeded`].
     pub rejected_quota: u64,

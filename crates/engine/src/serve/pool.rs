@@ -270,8 +270,9 @@ where
             })
     }
 
-    /// Admission-time request validation: the model must exist and the
-    /// evidence must range over its variables. Returns the tenant the
+    /// Admission-time request validation: the model must exist, the
+    /// evidence must range over its variables, and every observed state
+    /// must be one of its variable's states. Returns the tenant the
     /// request was admitted to, so admission and dispatch agree on the
     /// tape version even across a concurrent reload.
     pub(crate) fn admit(&self, req: &ServeRequest) -> Result<Arc<Tenant<A>>, ServeError> {
@@ -281,6 +282,17 @@ where
                 batch: req.evidence.len(),
                 circuit: tenant.var_count,
             }));
+        }
+        let arities = tenant.sum.tape().var_arities();
+        for (var, state) in req.evidence.iter() {
+            let arity = arities.get(var.index()).copied().unwrap_or(0);
+            if state >= arity {
+                return Err(ServeError::Engine(EngineError::StateOutOfRange {
+                    var: var.index(),
+                    state,
+                    arity,
+                }));
+            }
         }
         Ok(tenant)
     }

@@ -58,7 +58,7 @@ where
 
     /// Like [`Server::start`], but records into a caller-supplied
     /// [`MetricsRegistry`] — the hook for sharing one registry between
-    /// the server, a [`problp_telemetry::Tracer`] and a
+    /// the server, a query gateway and a
     /// [`problp_telemetry::Sidecar`]. (A separate constructor because
     /// [`ServeConfig`] is `Copy` and cannot carry an `Arc`.)
     pub fn start_instrumented(
@@ -199,7 +199,8 @@ where
     /// # Errors
     ///
     /// Rejects at admission: [`ServeError::UnknownModel`] /
-    /// [`EngineError::BatchLengthMismatch`](crate::EngineError::BatchLengthMismatch)
+    /// [`EngineError::BatchLengthMismatch`](crate::EngineError::BatchLengthMismatch) /
+    /// [`EngineError::StateOutOfRange`](crate::EngineError::StateOutOfRange)
     /// for malformed requests, [`ServeError::QuotaExceeded`] when the
     /// model already holds [`ServeConfig::tenant_quota`] lanes queued +
     /// in flight, and [`ServeError::ShutDown`] after shutdown.
@@ -216,8 +217,8 @@ where
             Err(e) => {
                 match &e {
                     ServeError::UnknownModel { .. } => metrics.rejected_unknown_model.inc(),
-                    // The only other admission failure is the evidence
-                    // shape mismatch.
+                    // The only other admission failures are a bad
+                    // evidence shape or an out-of-range state.
                     _ => metrics.rejected_bad_shape.inc(),
                 }
                 return Err(e);

@@ -236,7 +236,6 @@ fn bad_bodies_are_400_with_structured_errors() {
         Arc::clone(&server),
         GatewayConfig {
             tokens: tokens(),
-            max_body: 512,
             ..GatewayConfig::default()
         },
     )
@@ -266,10 +265,29 @@ fn bad_bodies_are_400_with_structured_errors() {
     assert_eq!(code, 400, "{body}");
     assert!(body.contains("\"bad_shape\""), "{body}");
 
-    // Over the gateway's max-body cap: 413 from the declared length.
+    // An observed state past the variable's arity (every sprinkler
+    // variable is binary) is a bad shape too, counted as one.
+    let (code, _h, body) = http_post(
+        &addr,
+        "/v1/query",
+        &auth("tok-sprinkler"),
+        r#"{"query": "mpe", "evidence": [7, null, null, null]}"#,
+    )
+    .expect("post");
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("\"bad_shape\""), "{body}");
+    let needle = format!(
+        "{}{{kind=\"bad_shape\"}} 2",
+        metric_names::SERVE_REJECTED_TOTAL
+    );
+    let scrape = server.metrics().render_prometheus();
+    assert!(scrape.contains(&needle), "missing {needle:?} in scrape");
+
+    // Over the gateway's 64 KiB max-body cap: 413 from the declared
+    // length.
     let huge = format!(
         r#"{{"query": "marginal", "evidence": [{}null]}}"#,
-        "null, ".repeat(200)
+        "null, ".repeat(12_000)
     );
     let (code, _h, body) =
         http_post(&addr, "/v1/query", &auth("tok-sprinkler"), &huge).expect("post");
@@ -371,7 +389,6 @@ fn quota_pressure_is_429_with_retry_after() {
         Arc::clone(&server),
         GatewayConfig {
             tokens: tokens(),
-            retry_after: Duration::from_secs(3),
             ..GatewayConfig::default()
         },
     )
@@ -395,7 +412,7 @@ fn quota_pressure_is_429_with_retry_after() {
         .iter()
         .find(|(n, _)| n == "retry-after")
         .map(|(_, v)| v.clone());
-    assert_eq!(retry_after.as_deref(), Some("3"));
+    assert_eq!(retry_after.as_deref(), Some("1"));
     // The other tenant still gets served during sprinkler's saturation.
     let asia =
         r#"{"query": "marginal", "evidence": [null, null, null, null, null, null, null, null]}"#;

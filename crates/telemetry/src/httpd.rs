@@ -1,17 +1,20 @@
-//! Shared bounded HTTP/1.1 primitives for the scrape [`crate::Sidecar`]
-//! and the query gateway in `problp-engine`: request parsing with hard
-//! size limits (oversized heads → 431, oversized bodies → 413, truncated
-//! bodies → 400 instead of unbounded reads), a canonical response
-//! writer, a small bounded [`WorkerPool`] so one stalled connection
-//! cannot serialize every other client behind it, and a strict client
-//! ([`read_response`] / [`http_request`]) that fails malformed status
-//! lines with a typed error and uses `Content-Length` instead of
+//! The HTTP/1.1 layer shared by the scrape [`crate::Sidecar`] and the
+//! query gateway in `problp-engine`. [`HttpServer`] is the one server
+//! core both run on: bind, a single accept loop in front of a bounded
+//! worker pool, per-connection deadlines, request parsing with hard
+//! size limits (oversized heads → 431, oversized bodies → 413,
+//! truncated bodies → 400 instead of unbounded reads), an `Overloaded`
+//! answer when the queue is full, and stop/join on drop. A front end supplies
+//! only its answer function. The strict client ([`read_response`] /
+//! [`http_request`] / [`http_post`] / [`http_get`]) fails malformed
+//! status lines with a typed error and uses `Content-Length` instead of
 //! blocking until the read timeout.
 //!
 //! Everything is `std::net` + `std::io`; no dependencies, no panics.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -274,7 +277,7 @@ const DRAIN_CAP: usize = 256 * 1024;
 /// client's receive buffer (a close with unread data discards delivered
 /// bytes on most TCP stacks). Bounded to 256 KiB and a short read
 /// timeout, so a hostile sender cannot turn the courtesy into a hold.
-pub fn drain_rejected(stream: &TcpStream, reader: &mut impl Read) {
+fn drain_rejected(stream: &TcpStream, reader: &mut impl Read) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut sink = [0u8; 4096];
     let mut total = 0;
@@ -293,7 +296,7 @@ pub fn drain_rejected(stream: &TcpStream, reader: &mut impl Read) {
 }
 
 /// The reason phrase of every status this stack emits.
-pub fn status_reason(code: u16) -> &'static str {
+fn status_reason(code: u16) -> &'static str {
     match code {
         200 => "OK",
         400 => "Bad Request",
@@ -311,39 +314,205 @@ pub fn status_reason(code: u16) -> &'static str {
     }
 }
 
-/// Writes one `Connection: close` response with an exact
-/// `Content-Length`, plus any `extra_headers` (e.g. `Retry-After`).
-pub fn write_response(
-    stream: &mut TcpStream,
-    code: u16,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &[u8],
-) -> io::Result<()> {
+/// One response a front end hands back to [`HttpServer`]: written as
+/// `Connection: close` with an exact `Content-Length`.
+#[derive(Debug)]
+pub struct HttpAnswer {
+    /// The status code.
+    pub code: u16,
+    /// The `Content-Type` header value.
+    pub content_type: &'static str,
+    /// Extra headers (e.g. `Retry-After`).
+    pub headers: Vec<(&'static str, String)>,
+    /// The response body.
+    pub body: String,
+}
+
+impl HttpAnswer {
+    /// An answer with no extra headers.
+    pub fn new(code: u16, content_type: &'static str, body: impl Into<String>) -> HttpAnswer {
+        HttpAnswer {
+            code,
+            content_type,
+            headers: Vec::new(),
+            body: body.into(),
+        }
+    }
+}
+
+fn write_answer(stream: &mut TcpStream, answer: &HttpAnswer) -> io::Result<()> {
     let mut head = format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        status_reason(code),
-        body.len()
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        answer.code,
+        status_reason(answer.code),
+        answer.content_type,
+        answer.body.len()
     );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+    for (name, value) in &answer.headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
     }
     head.push_str("\r\n");
     stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    stream.write_all(answer.body.as_bytes())?;
     stream.flush()
+}
+
+/// What an [`HttpServer`] asks its front end to answer.
+#[derive(Debug)]
+pub enum Incoming<'a> {
+    /// A request that parsed within the server's [`HttpLimits`].
+    Request(&'a HttpRequest),
+    /// A protocol-level reject (400/408/413/431): `code` is
+    /// [`HttpError::status`]'s. A dead socket is dropped unanswered.
+    Reject {
+        /// The status the reject is answered with.
+        code: u16,
+        /// Why the request was rejected.
+        error: &'a HttpError,
+    },
+    /// The worker queue is full. Answered from the accept thread under
+    /// a short write timeout, so backpressure reaches the client
+    /// instead of an unbounded queue.
+    Overloaded,
+}
+
+/// A front end's one answer function: called once per connection.
+type AnswerFn = dyn Fn(Incoming<'_>) -> HttpAnswer + Send + Sync;
+
+/// How long the accept loop sleeps when no connection is waiting before
+/// it rechecks the stop flag. A blocking accept would save a lone
+/// request up to this wait; it stays until the benchmark bounds the
+/// memory its faster closed loop then keeps (see the README).
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Read/write deadline of every served connection: bounds how long one
+/// client can hold a worker.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+/// Write deadline of an [`Incoming::Overloaded`] answer, so a slow
+/// client cannot stall the accept thread.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The one HTTP/1.1 server core behind the scrape [`crate::Sidecar`] and
+/// the query gateway: it binds, runs one nonblocking accept loop in
+/// front of a bounded worker pool, and on each connection sets the IO
+/// deadlines, reads one request under hard [`HttpLimits`] and writes
+/// whatever the front end's answer function returns (draining a
+/// rejected request briefly first). A full worker queue is answered
+/// [`Incoming::Overloaded`] instead of queueing unboundedly. Stops and
+/// joins every thread on [`HttpServer::shutdown`] or drop.
+pub struct HttpServer {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    handle: Option<thread::JoinHandle<()>>,
+}
+
+impl HttpServer {
+    /// Binds `addr` (port 0 for an OS-assigned port, read back via
+    /// [`HttpServer::local_addr`]) and serves it on a `name-accept`
+    /// thread plus `workers` threads `name-<i>`, with at most `backlog`
+    /// connections waiting for a worker. Each connection gets
+    /// 2-second read/write deadlines.
+    pub fn start<F>(
+        addr: &str,
+        name: &str,
+        workers: usize,
+        backlog: usize,
+        limits: HttpLimits,
+        answer: F,
+    ) -> io::Result<HttpServer>
+    where
+        F: Fn(Incoming<'_>) -> HttpAnswer + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let answer: Arc<AnswerFn> = Arc::new(answer);
+        let handler: Arc<dyn Fn(TcpStream) + Send + Sync> = {
+            let answer = Arc::clone(&answer);
+            Arc::new(move |stream| {
+                let _ = serve_connection(stream, &limits, &*answer);
+            })
+        };
+        let pool = WorkerPool::new(name, workers, backlog, handler);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_flag = Arc::clone(&stop);
+        let handle = thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || {
+                while !stop_flag.load(Ordering::SeqCst) {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            if let Err(mut stream) = pool.dispatch(stream) {
+                                let _ = stream
+                                    .set_write_timeout(Some(SHED_WRITE_TIMEOUT))
+                                    .and_then(|()| {
+                                        write_answer(&mut stream, &answer(Incoming::Overloaded))
+                                    });
+                            }
+                        }
+                        Err(_) => thread::sleep(ACCEPT_POLL),
+                    }
+                }
+                // Dropping the pool drains the queue and joins the workers.
+            })?;
+        Ok(HttpServer {
+            addr,
+            stop,
+            handle: Some(handle),
+        })
+    }
+
+    /// The bound address (resolves port 0 to the real port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops the accept loop, drains the worker queue and joins every
+    /// thread.
+    pub fn shutdown(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for HttpServer {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+fn serve_connection(stream: TcpStream, limits: &HttpLimits, answer: &AnswerFn) -> io::Result<()> {
+    stream.set_nonblocking(false)?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut stream = stream;
+    match read_request(&mut reader, limits) {
+        Ok(request) => write_answer(&mut stream, &answer(Incoming::Request(&request))),
+        Err(error) => {
+            // A dead socket has nobody left to answer.
+            if let Some((code, _)) = error.status() {
+                write_answer(
+                    &mut stream,
+                    &answer(Incoming::Reject {
+                        code,
+                        error: &error,
+                    }),
+                )?;
+                drain_rejected(&stream, &mut reader);
+            }
+            Ok(())
+        }
+    }
 }
 
 /// A fixed-size connection worker pool over a bounded queue: the accept
 /// loop stays free to answer (or shed) new connections while at most
 /// `workers` requests are being handled, and a full queue hands the
-/// connection *back* to the caller ([`WorkerPool::dispatch`]) so it can
-/// answer 503 instead of queueing unboundedly. Dropping the pool joins
-/// the workers after the queue drains.
-pub struct WorkerPool {
+/// connection *back* to the caller ([`WorkerPool::dispatch`]). Dropping
+/// the pool joins the workers after the queue drains.
+struct WorkerPool {
     tx: Option<mpsc::SyncSender<TcpStream>>,
     workers: Vec<thread::JoinHandle<()>>,
 }
@@ -352,7 +521,7 @@ impl WorkerPool {
     /// Spawns `workers` threads (at least one) named `name-<i>`, each
     /// pulling connections off a queue of at most `backlog` waiting
     /// connections and running `handler` on them.
-    pub fn new(
+    fn new(
         name: &str,
         workers: usize,
         backlog: usize,
@@ -388,8 +557,8 @@ impl WorkerPool {
     }
 
     /// Queues `stream` for a worker. A full (or shut down) pool returns
-    /// the stream so the caller can shed load with a prompt 503.
-    pub fn dispatch(&self, stream: TcpStream) -> Result<(), TcpStream> {
+    /// the stream so the caller can shed load.
+    fn dispatch(&self, stream: TcpStream) -> Result<(), TcpStream> {
         match &self.tx {
             Some(tx) => tx.try_send(stream).map_err(|e| match e {
                 TrySendError::Full(s) | TrySendError::Disconnected(s) => s,
@@ -532,10 +701,19 @@ pub fn http_post(
     http_request(addr, "POST", path, headers, body.as_bytes())
 }
 
+/// [`http_request`] for a bare `GET path`, returning `(status, body)` —
+/// the scrape client of tests and the serve-sim self-check.
+pub fn http_get(addr: &SocketAddr, path: &str) -> io::Result<(u16, String)> {
+    let (code, _headers, body) = http_request(addr, "GET", path, &[], &[])?;
+    Ok((code, body))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     fn parse(text: &str, limits: &HttpLimits) -> Result<HttpRequest, HttpError> {
         read_request(&mut Cursor::new(text.as_bytes()), limits)
@@ -646,5 +824,74 @@ mod tests {
         }
         .to_string()
         .contains('9'));
+    }
+
+    /// The shed and shutdown path both front ends share. One worker and
+    /// a one-slot queue: the first client's request parks the worker
+    /// inside the answer function (a channel, not a sleep, says when),
+    /// an idle second client fills the queue, so the third connection
+    /// gets nothing but the prompt `Overloaded` answer. Once the clients
+    /// hang up, shutdown joins every thread promptly.
+    #[test]
+    fn full_queue_is_shed_and_shutdown_is_prompt() {
+        let (entered_tx, entered) = mpsc::channel::<()>();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let sheds = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&sheds);
+        let mut server = HttpServer::start(
+            "127.0.0.1:0",
+            "shed-test",
+            1,
+            1,
+            HttpLimits::default(),
+            move |incoming| match incoming {
+                Incoming::Overloaded => {
+                    counted.fetch_add(1, Ordering::SeqCst);
+                    HttpAnswer::new(503, "text/plain", "full\n")
+                }
+                _ => {
+                    let _ = entered_tx.send(());
+                    // Held until the test drops `release`.
+                    let _ = release_rx.lock().map(|rx| rx.recv());
+                    HttpAnswer::new(200, "text/plain", "ok\n")
+                }
+            },
+        )
+        .expect("bind");
+        // Rebound after the server so a failing assert drops it first,
+        // unparking the worker instead of deadlocking the server's drop.
+        let release = release;
+        let addr = server.local_addr();
+        let mut busy = TcpStream::connect(addr).expect("connect busy");
+        busy.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("write");
+        entered.recv().expect("the worker took the first request");
+        // The accept loop takes connections in arrival order: the idle
+        // one fills the queue before the third is accepted.
+        let idle = TcpStream::connect(addr).expect("connect idle");
+
+        let started = Instant::now();
+        let shed = TcpStream::connect(addr).expect("connect shed");
+        shed.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let (code, _headers, body) = read_response(shed).expect("shed answer");
+        assert_eq!((code, body.as_str()), (503, "full\n"));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shed took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(sheds.load(Ordering::SeqCst), 1);
+
+        drop(release);
+        drop(busy);
+        drop(idle);
+        let started = Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -3,11 +3,10 @@
 //! Everything the serving stack exports about itself flows through this
 //! crate: a [`MetricsRegistry`] of atomic counters, gauges and
 //! fixed-bucket histograms (lock-free hot path, Prometheus text
-//! rendering), span tracing ([`Tracer`] / [`Span`]) with a ring buffer
-//! of recent slow traces, a hand-rolled JSON value type
-//! ([`JsonValue`]) for `/statz` and `BENCH_*.json`, and a minimal
-//! HTTP/1.1 [`Sidecar`] serving `/metrics`, `/healthz` and `/statz` on
-//! `std::net::TcpListener`.
+//! rendering), a hand-rolled JSON value type ([`JsonValue`]) for
+//! `/statz` and `BENCH_*.json`, the one HTTP/1.1 server core
+//! ([`HttpServer`]) shared with the query gateway, and the [`Sidecar`]
+//! serving `/metrics`, `/healthz` and `/statz` on it.
 //!
 //! The crate deliberately has **zero dependencies** (std only) so it
 //! slots into the offline, vendor-shimmed workspace and can be pulled
@@ -48,19 +47,17 @@ pub mod httpd;
 pub mod json;
 pub mod registry;
 pub mod sidecar;
-pub mod trace;
 
 pub use httpd::{
-    drain_rejected, http_post, http_request, read_request, read_response, status_reason,
-    write_response, HttpError, HttpLimits, HttpRequest, HttpResponse, WorkerPool,
+    http_get, http_post, http_request, read_request, read_response, HttpAnswer, HttpError,
+    HttpLimits, HttpRequest, HttpResponse, HttpServer, Incoming,
 };
 pub use json::{JsonError, JsonErrorKind, JsonValue};
 pub use registry::{
     default_latency_buckets_us, default_size_buckets, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry,
 };
-pub use sidecar::{http_get, HealthFn, HealthStatus, Sidecar};
-pub use trace::{SlowTrace, Span, Tracer, SLOW_RING_CAPACITY};
+pub use sidecar::{HealthFn, HealthStatus, Sidecar};
 
 /// The serve-pipeline metric catalog: one documented constant per
 /// exported metric name, so instrumentation sites and tests never
@@ -134,9 +131,6 @@ pub mod metric_names {
     /// Counter, label `flag` ∈ {`overflow`, `underflow`, `inexact`,
     /// `invalid`}: groups whose evaluation raised the sticky flag.
     pub const ENGINE_FLAG_RAISES_TOTAL: &str = "problp_engine_flag_raises_total";
-    /// Histogram, label `stage`: per-stage elapsed time recorded by
-    /// [`crate::Tracer`] spans, microseconds.
-    pub const STAGE_ELAPSED_US: &str = "problp_stage_elapsed_us";
     /// Counter: static verifier / range-analysis passes run (one per
     /// tape × format analyzed).
     pub const VERIFY_RUNS_TOTAL: &str = "problp_verify_runs_total";
@@ -301,33 +295,6 @@ req_us_count 3
         g.add(-6);
         assert_eq!(g.get(), 2);
         assert_eq!(g.high_water(), 8);
-    }
-
-    #[test]
-    fn tracer_records_spans_and_retains_slow_ones() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Tracer::new(Arc::clone(&registry), Duration::ZERO);
-        {
-            let _span = tracer.span("dispatch");
-        }
-        {
-            let _span = tracer.span("dispatch");
-        }
-        let text = registry.render_prometheus();
-        assert!(text.contains("problp_stage_elapsed_us_count{stage=\"dispatch\"} 2"));
-        let slow = tracer.recent_slow();
-        assert_eq!(slow.len(), 2);
-        assert_eq!(slow[0].stage, "dispatch");
-    }
-
-    #[test]
-    fn tracer_slow_ring_is_bounded() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Tracer::new(registry, Duration::ZERO);
-        for _ in 0..SLOW_RING_CAPACITY + 5 {
-            let _span = tracer.span("s");
-        }
-        assert_eq!(tracer.recent_slow().len(), SLOW_RING_CAPACITY);
     }
 
     #[test]

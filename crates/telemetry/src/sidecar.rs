@@ -1,28 +1,18 @@
-//! A minimal HTTP/1.1 sidecar on `std::net::TcpListener` exposing the
-//! registry: `GET /metrics` (Prometheus text), `GET /healthz`
-//! (liveness + detail lines, 200/503) and `GET /statz` (JSON snapshot).
+//! A minimal HTTP/1.1 sidecar exposing the registry: `GET /metrics`
+//! (Prometheus text), `GET /healthz` (liveness + detail lines, 200/503)
+//! and `GET /statz` (JSON snapshot).
 //!
-//! The accept thread only accepts: connections are handled on a small
-//! bounded [`WorkerPool`] (shared with the query gateway in
-//! `problp-engine`), so one slow or stalled scraper cannot delay a
-//! `/healthz` probe behind it and flap liveness. Requests are parsed
-//! through [`crate::httpd::read_request`] under hard size limits —
-//! oversized request lines/headers answer 431 and oversized bodies 413
-//! instead of reading unboundedly into memory — and read/write timeouts
-//! bound how long any one client can hold a worker. The listener is
-//! non-blocking and polls a shutdown flag so [`Sidecar::shutdown`]
-//! returns promptly.
+//! The sidecar is only its routes: it runs on the shared
+//! [`HttpServer`] core, like the query gateway in `problp-engine`. Two
+//! workers mean one slow or stalled scraper cannot delay a `/healthz`
+//! probe behind it and flap liveness. Oversized request lines/headers
+//! answer 431 and oversized bodies 413 instead of reading unboundedly
+//! into memory, and 2-second read/write deadlines bound how long any
+//! one client can hold a worker.
 
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-use crate::httpd::{
-    drain_rejected, http_request, read_request, write_response, HttpLimits, WorkerPool,
-};
+use crate::httpd::{HttpAnswer, HttpLimits, HttpServer, Incoming};
 use crate::json::JsonValue;
 use crate::registry::MetricsRegistry;
 
@@ -33,14 +23,13 @@ const SIDECAR_WORKERS: usize = 2;
 /// Connections queued for the workers before the accept loop sheds load
 /// with an immediate 503.
 const SIDECAR_BACKLOG: usize = 16;
-/// Per-connection read/write timeout.
-const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Size limits of one scrape request: routing needs no body, so both
 /// caps stay small.
 const SIDECAR_LIMITS: HttpLimits = HttpLimits {
     max_head: 8 * 1024,
     max_body: 4 * 1024,
 };
+const TEXT: &str = "text/plain; charset=utf-8";
 
 /// What `/healthz` reports. Produced by the health callback on every
 /// request, so liveness reflects the serving stack *now*, not at
@@ -68,9 +57,7 @@ pub type HealthFn = Box<dyn Fn() -> HealthStatus + Send + Sync>;
 
 /// A running metrics sidecar; shuts down when dropped.
 pub struct Sidecar {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
+    http: HttpServer,
 }
 
 impl Sidecar {
@@ -82,133 +69,50 @@ impl Sidecar {
         registry: Arc<MetricsRegistry>,
         health: HealthFn,
     ) -> std::io::Result<Sidecar> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = thread::Builder::new()
-            .name("problp-metrics-sidecar".to_string())
-            .spawn(move || serve_loop(listener, registry, health, stop_flag))?;
-        Ok(Sidecar {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        let http = HttpServer::start(
+            addr,
+            "problp-sidecar",
+            SIDECAR_WORKERS,
+            SIDECAR_BACKLOG,
+            SIDECAR_LIMITS,
+            move |incoming| answer(incoming, &registry, &health),
+        )?;
+        Ok(Sidecar { http })
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// Stops the accept loop and joins the serving threads.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        self.http.shutdown();
+    }
+}
+
+fn answer(incoming: Incoming<'_>, registry: &MetricsRegistry, health: &HealthFn) -> HttpAnswer {
+    let request = match incoming {
+        Incoming::Request(request) => request,
+        Incoming::Reject { code, error } => {
+            return HttpAnswer::new(code, TEXT, format!("{error}\n"))
         }
-    }
-}
-
-impl Drop for Sidecar {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_loop(
-    listener: TcpListener,
-    registry: Arc<MetricsRegistry>,
-    health: HealthFn,
-    stop: Arc<AtomicBool>,
-) {
-    let health = Arc::new(health);
-    let handler: Arc<dyn Fn(TcpStream) + Send + Sync> = Arc::new(move |stream| {
-        let _ = handle_connection(stream, &registry, &health);
-    });
-    let pool = WorkerPool::new("problp-sidecar", SIDECAR_WORKERS, SIDECAR_BACKLOG, handler);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if let Err(stream) = pool.dispatch(stream) {
-                    // Queue full (every worker stalled): shed load with
-                    // a prompt 503 instead of queueing unboundedly.
-                    let _ = busy_reject(stream);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(20)),
-        }
-    }
-    // Dropping the pool drains the queue and joins the workers.
-}
-
-/// Answers a connection the worker pool could not take. The short write
-/// timeout keeps the accept loop from being the thing a slow client
-/// stalls.
-fn busy_reject(mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(Duration::from_millis(100)))?;
-    write_response(
-        &mut stream,
-        503,
-        "text/plain; charset=utf-8",
-        &[],
-        b"sidecar worker queue is full\n",
-    )
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    registry: &MetricsRegistry,
-    health: &HealthFn,
-) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
-    let request = match read_request(&mut reader, &SIDECAR_LIMITS) {
-        Ok(request) => request,
-        Err(e) => {
-            // Protocol-level rejects (400/408/413/431) are answered;
-            // a dead socket is just dropped.
-            if let Some((code, _)) = e.status() {
-                respond(
-                    &mut stream,
-                    code,
-                    "text/plain; charset=utf-8",
-                    &format!("{e}\n"),
-                )?;
-                drain_rejected(&stream, &mut reader);
-            }
-            return Ok(());
+        Incoming::Overloaded => {
+            return HttpAnswer::new(503, TEXT, "sidecar worker queue is full\n")
         }
     };
     if request.method != "GET" {
-        return respond(
-            &mut stream,
-            405,
-            "text/plain; charset=utf-8",
-            "only GET is supported\n",
-        );
+        return HttpAnswer::new(405, TEXT, "only GET is supported\n");
     }
     match request.path.as_str() {
-        "/metrics" => {
-            let body = registry.render_prometheus();
-            respond(
-                &mut stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            )
-        }
+        "/metrics" => HttpAnswer::new(
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            registry.render_prometheus(),
+        ),
         "/healthz" => {
             let status = health();
-            let mut body = String::new();
-            body.push_str(if status.healthy {
+            let mut body = String::from(if status.healthy {
                 "ok\n"
             } else {
                 "unhealthy\n"
@@ -216,59 +120,26 @@ fn handle_connection(
             for (k, v) in &status.detail {
                 body.push_str(&format!("{k}: {v}\n"));
             }
-            let code = if status.healthy { 200 } else { 503 };
-            respond(&mut stream, code, "text/plain; charset=utf-8", &body)
+            HttpAnswer::new(if status.healthy { 200 } else { 503 }, TEXT, body)
         }
         "/statz" => {
             let status = health();
+            let detail = status
+                .detail
+                .iter()
+                .map(|(k, v)| (k.clone(), JsonValue::from(v.as_str())))
+                .collect();
             let doc = JsonValue::Object(vec![
                 ("healthy".to_string(), JsonValue::Bool(status.healthy)),
-                (
-                    "detail".to_string(),
-                    JsonValue::Object(
-                        status
-                            .detail
-                            .iter()
-                            .map(|(k, v)| (k.clone(), JsonValue::from(v.as_str())))
-                            .collect(),
-                    ),
-                ),
+                ("detail".to_string(), JsonValue::Object(detail)),
                 ("metrics".to_string(), registry.render_json()),
             ]);
-            respond(
-                &mut stream,
-                200,
-                "application/json; charset=utf-8",
-                &doc.render(),
-            )
+            HttpAnswer::new(200, "application/json; charset=utf-8", doc.render())
         }
-        _ => respond(
-            &mut stream,
+        _ => HttpAnswer::new(
             404,
-            "text/plain; charset=utf-8",
+            TEXT,
             "unknown path; try /metrics, /healthz or /statz\n",
         ),
     }
-}
-
-fn respond(
-    stream: &mut TcpStream,
-    code: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write_response(stream, code, content_type, &[], body.as_bytes())
-}
-
-/// A tiny scrape client for tests and the serve-sim self-check: issues
-/// `GET path` against `addr` and returns `(status_code, body)`.
-///
-/// Built on [`crate::httpd::read_response`], so a malformed status line
-/// fails with a typed [`std::io::ErrorKind::InvalidData`] error naming
-/// the line, and a response that declares `Content-Length` is read to
-/// exactly that many bytes instead of blocking on a keep-alive server
-/// until the 2-second read timeout.
-pub fn http_get(addr: &std::net::SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
-    let (code, _headers, body) = http_request(addr, "GET", path, &[], &[])?;
-    Ok((code, body))
 }

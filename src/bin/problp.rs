@@ -1182,7 +1182,6 @@ fn serve_http(o: &Opts) -> Result<(), Box<dyn Error>> {
             addr: o.addr.clone(),
             tokens: tokens.clone(),
             http_workers: o.http_workers.max(1),
-            ..GatewayConfig::default()
         },
     )
     .map_err(|e| format!("cannot bind gateway on {}: {e}", o.addr))?;
@@ -1285,6 +1284,15 @@ fn serve_http(o: &Opts) -> Result<(), Box<dyn Error>> {
     });
     let good = good.as_str();
     let bad_shape = r#"{"query": "marginal", "evidence": [null]}"#;
+    // The first variable observed one past its last state.
+    let mut bad_state = Evidence::empty(reference.circuit.var_arities().len());
+    bad_state.observe(VarId::from_index(0), reference.circuit.var_arities()[0]);
+    let bad_state = gateway_body(&ServeRequest {
+        model: reference.name.clone(),
+        evidence: bad_state,
+        query: BatchQuery::Mpe,
+        priority: Priority::Interactive,
+    });
     let oversized = format!(
         r#"{{"query": "marginal", "evidence": [{}null]}}"#,
         "null, ".repeat(20_000)
@@ -1299,6 +1307,7 @@ fn serve_http(o: &Opts) -> Result<(), Box<dyn Error>> {
         ("bad method", "GET", "/v1/query", ref_token, "", 405, "method_not_allowed"),
         ("bad json", "POST", "/v1/query", ref_token, "{nope", 400, "bad_json"),
         ("bad shape", "POST", "/v1/query", ref_token, bad_shape, 400, "bad_shape"),
+        ("bad state", "POST", "/v1/query", ref_token, &bad_state, 400, "bad_shape"),
         ("oversized body", "POST", "/v1/query", ref_token, &oversized, 413, "body_too_large"),
     ];
     let mut parse_rejects = 0u64;
