@@ -14,7 +14,7 @@
 //! | `scenario` | string | which study produced the file |
 //! | `requests` | number | requests (or lanes) the study drove |
 //! | `throughput_rps` | number | requests per second end to end |
-//! | `latency_us` | object | `p50`/`p90`/`p99`/`max` sojourn, µs (each a number, or null with no sample) |
+//! | `latency_us` | object | `p50` ≤ `p90` ≤ `p99` ≤ `max` sojourn, µs (all numbers, or all null with no sample) |
 //! | `rejects` | number | typed admission rejects |
 //!
 //! Everything else (`extra` fields like speedups, quota settings,
@@ -121,9 +121,11 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let latency = doc
         .get("latency_us")
         .ok_or("missing object key \"latency_us\"")?;
+    let mut numbers = Vec::new();
     for key in ["p50", "p90", "p99", "max"] {
         match latency.get(key) {
-            Some(JsonValue::Number(_)) | Some(JsonValue::Null) => {}
+            Some(JsonValue::Number(n)) => numbers.push(*n),
+            Some(JsonValue::Null) => {}
             Some(other) => {
                 return Err(format!(
                     "latency_us.{key} must be a number or null, got {other:?}"
@@ -131,6 +133,14 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
             }
             None => return Err(format!("missing latency_us key {key:?}")),
         }
+    }
+    if !matches!(numbers.len(), 0 | 4) {
+        return Err("latency_us must be all numbers or all null".to_string());
+    }
+    if numbers.windows(2).any(|w| w[0] > w[1]) {
+        return Err(format!(
+            "latency_us must read p50 <= p90 <= p99 <= max, got {numbers:?}"
+        ));
     }
     if doc.get("scenario").and_then(JsonValue::as_str) == Some("kernels") {
         validate_kernels_extras(&doc)?;
@@ -260,13 +270,11 @@ pub fn qos_bench_record(study: &crate::QosStudy) -> BenchRecord {
                 ("admitted".to_string(), JsonValue::from(c.admitted)),
                 (
                     "p50_us".to_string(),
-                    c.p50_us
-                        .map_or(JsonValue::Null, |v| JsonValue::from(v as u64)),
+                    c.p50_us.map_or(JsonValue::Null, JsonValue::from),
                 ),
                 (
                     "p99_us".to_string(),
-                    c.p99_us
-                        .map_or(JsonValue::Null, |v| JsonValue::from(v as u64)),
+                    c.p99_us.map_or(JsonValue::Null, JsonValue::from),
                 ),
             ])
         })
@@ -292,15 +300,19 @@ pub fn qos_bench_record(study: &crate::QosStudy) -> BenchRecord {
 }
 
 /// [`BenchRecord`] for the differential conformance study
-/// (`BENCH_conformance.json`): total compared lanes as `requests`, and
-/// per-backend work/wall stats aggregated over the cases as extras.
+/// (`BENCH_conformance.json`): total compared lanes as `requests`,
+/// those lanes per second of total backend wall time as the
+/// throughput, and per-backend work/wall stats aggregated over the
+/// cases as extras.
 pub fn conformance_bench_record(report: &problp_conformance::ConformanceReport) -> BenchRecord {
     // Aggregate per backend over every (model, arith, semiring) case.
     let mut backends: Vec<(String, u64, f64, usize)> = Vec::new();
     let mut total_lanes = 0usize;
+    let mut total_wall = 0.0;
     for case in &report.cases {
         for run in &case.backends {
             total_lanes += case.lanes;
+            total_wall += run.wall.as_secs_f64();
             let name = format!("{}", run.backend);
             match backends.iter_mut().find(|(n, ..)| *n == name) {
                 Some((_, work, wall, lanes)) => {
@@ -334,7 +346,7 @@ pub fn conformance_bench_record(report: &problp_conformance::ConformanceReport) 
     BenchRecord {
         scenario: "conformance".to_string(),
         requests: total_lanes as u64,
-        throughput_rps: 0.0,
+        throughput_rps: per_sec(total_lanes, total_wall),
         latency: None,
         rejects: 0,
         extra: vec![
@@ -521,6 +533,7 @@ mod tests {
         assert!(qos.rejects > 0, "the QoS study must exercise the quota");
         assert!(qos.throughput_rps > 0.0, "admitted requests per second");
         let conf = conformance_bench_record(&crate::conformance_study(8, SEED));
+        assert!(conf.throughput_rps > 0.0, "compared lanes per second");
         let text = conf.to_json().render_pretty();
         validate_bench_json(&text).expect("conformance record validates");
         let doc = JsonValue::parse(&text).unwrap();
@@ -589,5 +602,23 @@ mod tests {
         assert!(validate_bench_json(bad_percentile)
             .unwrap_err()
             .contains("p50"));
+    }
+
+    #[test]
+    fn validator_rejects_disordered_and_half_null_percentiles() {
+        let record = |latency: &str| {
+            format!(
+                r#"{{"schema": "problp-bench/v1", "scenario": "x", "requests": 1,
+                "throughput_rps": 2.0, "rejects": 0, "latency_us": {latency}}}"#
+            )
+        };
+        let disordered = record(r#"{"p50": 10, "p90": 30, "p99": 20, "max": 40}"#);
+        assert!(validate_bench_json(&disordered)
+            .unwrap_err()
+            .contains("p50 <= p90 <= p99 <= max"));
+        let half_null = record(r#"{"p50": 10, "p90": null, "p99": 20, "max": 40}"#);
+        assert!(validate_bench_json(&half_null)
+            .unwrap_err()
+            .contains("all numbers or all null"));
     }
 }

@@ -803,7 +803,7 @@ impl ThroughputPoint {
 
 /// Runs `f` repeatedly for at least ~0.2 s and returns its rate in calls
 /// per second, scaled by `evals_per_call`.
-fn rate_of(mut f: impl FnMut(), evals_per_call: usize) -> f64 {
+pub fn rate_of(mut f: impl FnMut(), evals_per_call: usize) -> f64 {
     use std::time::Instant;
     // Warm caches and the branch predictor.
     f();
@@ -1187,8 +1187,8 @@ pub struct ServingStudy {
     /// Wall time of the pooled serving pass, seconds.
     pub served_secs: f64,
     /// Per-request sojourn latencies (submit → dispatcher completion)
-    /// of the pooled pass, as a fixed-bucket histogram — the source of
-    /// the `BENCH_serving.json` percentiles.
+    /// of the pooled pass — the source of the `BENCH_serving.json`
+    /// percentiles.
     pub sojourn: problp_telemetry::HistogramSnapshot,
 }
 
@@ -1220,25 +1220,6 @@ fn study_server(
         scenario::register(tenants)?,
         config,
     ))
-}
-
-/// The p-th percentile (nearest rank) of an ascending-sorted sample of
-/// microsecond latencies. Shared by the serving studies and the
-/// `serve-sim` CLI report.
-///
-/// Edge behavior is explicit rather than silent: an empty sample has no
-/// percentile (`None`, not a fake `0`), `p` is clamped to `[0, 100]`
-/// (so `p = 100` — and anything above — is exactly the last element,
-/// never out of bounds), and a non-finite `p` reads as `0`.
-pub fn percentile_us(sorted_us: &[u128], p: f64) -> Option<u128> {
-    let last = sorted_us.len().checked_sub(1)?;
-    let p = if p.is_finite() {
-        p.clamp(0.0, 100.0)
-    } else {
-        0.0
-    };
-    let idx = ((p / 100.0) * last as f64).round() as usize;
-    Some(sorted_us[idx.min(last)])
 }
 
 /// Runs the mixed-workload serving study: Alarm + Asia + Sprinkler
@@ -1294,7 +1275,7 @@ pub fn serving_study(
         identical: burst.admitted() - mismatched.len(),
         scalar_secs: scalar.iter().map(|(_, d)| d.as_secs_f64()).sum(),
         served_secs: burst.secs,
-        sojourn: burst.latency(),
+        sojourn: burst.latency(|_| true),
     })
 }
 
@@ -1444,18 +1425,20 @@ pub fn cache_study(
         cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
         cache_evictions: stats.cache_evictions,
-        sojourn: cached.latency(),
+        sojourn: cached.latency(|_| true),
     })
 }
 
-/// One `label (us): p50 .. | p90 .. | p99 .. | max ..` report line.
-fn sojourn_line(label: &str, h: &problp_telemetry::HistogramSnapshot) -> String {
+/// The `p50 ..us  p90 ..us  p99 ..us  max ..us` line of a latency
+/// histogram (`-` for each percentile of an empty one) — the one
+/// latency line of every serving report, CLI and studies alike.
+pub fn latency_line(h: &problp_telemetry::HistogramSnapshot) -> String {
     let q = |p: f64| {
         h.quantile(p)
             .map_or_else(|| "-".to_string(), |us| us.to_string())
     };
     format!(
-        "{label} (us): p50 {} | p90 {} | p99 {} | max {}\n",
+        "p50 {}us  p90 {}us  p99 {}us  max {}us",
         q(50.0),
         q(90.0),
         q(99.0),
@@ -1488,7 +1471,10 @@ pub fn render_cache_report(study: &CacheStudy) -> String {
         study.cached_secs * 1e3,
         study.speedup()
     ));
-    out.push_str(&sojourn_line("cached-pass sojourn", &study.sojourn));
+    out.push_str(&format!(
+        "cached-pass sojourn: {}\n",
+        latency_line(&study.sojourn)
+    ));
     out
 }
 
@@ -1524,7 +1510,10 @@ pub fn render_serving_report(study: &ServingStudy) -> String {
         study.served_secs * 1e3,
         study.speedup()
     ));
-    out.push_str(&sojourn_line("sojourn latency", &study.sojourn));
+    out.push_str(&format!(
+        "sojourn latency: {}\n",
+        latency_line(&study.sojourn)
+    ));
     out
 }
 
@@ -1539,10 +1528,10 @@ pub struct QosClassRow {
     pub admitted: usize,
     /// Median sojourn latency of the admitted requests, microseconds
     /// (`None` when the class admitted nothing).
-    pub p50_us: Option<u128>,
+    pub p50_us: Option<u64>,
     /// Tail sojourn latency of the admitted requests, microseconds
     /// (`None` when the class admitted nothing).
-    pub p99_us: Option<u128>,
+    pub p99_us: Option<u64>,
 }
 
 /// The result of [`qos_study`]: a hot-tenant + mixed-priority trace
@@ -1568,8 +1557,8 @@ pub struct QosStudy {
     pub classes: Vec<QosClassRow>,
     /// Wall time of the served burst, seconds.
     pub served_secs: f64,
-    /// All admitted requests' sojourn latencies as one fixed-bucket
-    /// histogram — the source of the `BENCH_qos.json` percentiles.
+    /// All admitted requests' sojourn latencies — the source of the
+    /// `BENCH_qos.json` percentiles.
     pub sojourn: problp_telemetry::HistogramSnapshot,
 }
 
@@ -1624,13 +1613,13 @@ pub fn qos_study(requests: usize, seed: u64) -> Result<QosStudy, problp_engine::
     let classes = [Priority::Interactive, Priority::Batch]
         .iter()
         .map(|class| {
-            let latencies = burst.sorted_us(&trace, |r| r.priority == *class);
+            let latency = burst.latency(|i| trace[i].priority == *class);
             QosClassRow {
                 class: class.to_string(),
                 requests: trace.iter().filter(|r| r.priority == *class).count(),
-                admitted: latencies.len(),
-                p50_us: percentile_us(&latencies, 50.0),
-                p99_us: percentile_us(&latencies, 99.0),
+                admitted: latency.count as usize,
+                p50_us: latency.quantile(50.0),
+                p99_us: latency.quantile(99.0),
             }
         })
         .collect();
@@ -1643,7 +1632,7 @@ pub fn qos_study(requests: usize, seed: u64) -> Result<QosStudy, problp_engine::
         identical: burst.admitted() - mismatched.len(),
         classes,
         served_secs: burst.secs,
-        sojourn: burst.latency(),
+        sojourn: burst.latency(|_| true),
     })
 }
 
@@ -1665,7 +1654,7 @@ pub fn render_qos_report(study: &QosStudy) -> String {
         "p99 (us)",
         "-".repeat(60)
     ));
-    let fmt_us = |p: Option<u128>| p.map_or_else(|| "-".to_string(), |us| us.to_string());
+    let fmt_us = |p: Option<u64>| p.map_or_else(|| "-".to_string(), |us| us.to_string());
     for c in &study.classes {
         out.push_str(&format!(
             "{:>12} | {:>8} | {:>8} | {:>9} | {:>9}\n",

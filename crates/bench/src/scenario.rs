@@ -34,7 +34,7 @@ use problp_engine::{
     ServeResponse, Server, Ticket,
 };
 use problp_num::F64Arith;
-use problp_telemetry::{default_latency_buckets_us, Histogram, HistogramSnapshot};
+use problp_telemetry::{Histogram, HistogramSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -266,31 +266,17 @@ impl Burst {
         crate::bench_json::per_sec(self.admitted(), self.secs)
     }
 
-    /// The admitted requests' latencies as a fixed-bucket histogram —
-    /// the source of a record's percentiles.
-    pub fn latency(&self) -> HistogramSnapshot {
-        let histogram = Histogram::new(default_latency_buckets_us());
-        for (_, waited) in self.outcomes.iter().flatten() {
-            histogram.observe_duration(*waited);
+    /// The latencies of the admitted requests whose trace index passes
+    /// `keep`, as a histogram — the source of every report's and
+    /// record's percentiles.
+    pub fn latency(&self, keep: impl Fn(usize) -> bool) -> HistogramSnapshot {
+        let histogram = Histogram::new();
+        for (i, outcome) in self.outcomes.iter().enumerate() {
+            if let Some((_, waited)) = outcome.as_ref().filter(|_| keep(i)) {
+                histogram.observe_duration(*waited);
+            }
         }
         histogram.snapshot()
-    }
-
-    /// Ascending latencies in µs of the admitted requests whose trace
-    /// entry passes `keep`.
-    pub fn sorted_us(
-        &self,
-        trace: &[ServeRequest],
-        keep: impl Fn(&ServeRequest) -> bool,
-    ) -> Vec<u128> {
-        let mut us: Vec<u128> = trace
-            .iter()
-            .zip(&self.outcomes)
-            .filter(|(req, _)| keep(req))
-            .filter_map(|(_, o)| o.as_ref().map(|(_, waited)| waited.as_micros()))
-            .collect();
-        us.sort_unstable();
-        us
     }
 
     /// Appends a later burst (the next round of the same pass).
@@ -534,7 +520,7 @@ mod tests {
         assert_eq!(burst.rejects() as u64, server.stats().rejected_quota);
         assert_eq!(burst.admitted() + burst.rejects(), requests.len());
         assert!(burst.throughput_rps() > 0.0);
-        assert_eq!(burst.latency().count, burst.admitted() as u64);
+        assert_eq!(burst.latency(|_| true).count, burst.admitted() as u64);
         let scalar = scalar_replay(&t, &requests).expect("replays");
         assert!(mismatches(&t, server.pool(), &requests, &burst, &scalar).is_empty());
         server.shutdown();

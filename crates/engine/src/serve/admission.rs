@@ -278,9 +278,8 @@ pub struct ServeConfig {
     /// long (the cap of the effective wait when `adaptive_wait` is on).
     pub max_wait: Duration,
     /// Dispatcher worker threads (each evaluates one coalesced batch at
-    /// a time). Threads *inside* each engine evaluation are a pool
-    /// property instead ([`super::CircuitPool::with_engine_threads`],
-    /// default 1): parallelism comes from the dispatcher shards.
+    /// a time). Each engine evaluation itself runs on one thread:
+    /// parallelism comes from the dispatcher shards.
     pub workers: usize,
     /// Per-tenant admission quota: at most this many lanes queued +
     /// in flight per model; the request beyond the cap is rejected with

@@ -32,7 +32,8 @@ where
     A: KernelSet + Clone + Send + Sync,
     A::Value: Clone + Send + Sync,
 {
-    // Liveness bookkeeping is a drop guard so a panicking evaluation
+    // `Server::start_instrumented` counted this shard before spawning
+    // it; the drop guard takes it off again, so a panicking evaluation
     // that somehow unwinds past the dispatch catch still decrements the
     // live-worker gauge (and `/healthz` turns red when all shards die).
     struct WorkerAlive(Gauge);
@@ -42,7 +43,6 @@ where
         }
     }
     let metrics = &shared.metrics;
-    metrics.live_workers.add(1);
     let _alive = WorkerAlive(metrics.live_workers.clone());
     loop {
         let job = {

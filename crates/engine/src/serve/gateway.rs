@@ -95,8 +95,8 @@ use std::time::{Duration, Instant};
 use problp_bayes::{BatchQuery, Evidence, VarId};
 use problp_num::{Arith, Flags};
 use problp_telemetry::{
-    default_latency_buckets_us, metric_names, Counter, HttpAnswer, HttpError, HttpLimits,
-    HttpRequest, HttpServer, Incoming, JsonValue, MetricsRegistry,
+    metric_names, Counter, HttpAnswer, HttpError, HttpLimits, HttpRequest, HttpServer, Incoming,
+    JsonValue, MetricsRegistry,
 };
 
 use super::admission::{Priority, ServeError, ServeRequest, ServeResponse};
@@ -166,10 +166,6 @@ pub fn error_status(e: &ServeError) -> (u16, &'static str) {
 /// path never pays the registry's registration lock.
 const KNOWN_STATUSES: [u16; 12] = [200, 400, 401, 404, 405, 408, 413, 422, 429, 431, 500, 503];
 
-/// Body-size histogram buckets, bytes: queries are small JSON, so the
-/// top bucket sits at the max-body cap.
-const BODY_BUCKETS: [u64; 6] = [256, 1024, 4096, 16384, 65536, 262144];
-
 struct GatewayMetrics {
     registry: Arc<MetricsRegistry>,
     by_status: Vec<(u16, Counter)>,
@@ -193,12 +189,10 @@ impl GatewayMetrics {
         let body_bytes = registry.histogram(
             metric_names::GATEWAY_BODY_BYTES,
             "request body bytes per gateway query",
-            &BODY_BUCKETS,
         );
         let handler_us = registry.histogram(
             metric_names::GATEWAY_HANDLER_US,
             "gateway handler latency (auth to rendered response), microseconds",
-            default_latency_buckets_us(),
         );
         GatewayMetrics {
             registry,

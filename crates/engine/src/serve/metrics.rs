@@ -8,10 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use problp_bayes::BatchQuery;
 use problp_num::Flags;
-use problp_telemetry::{
-    default_latency_buckets_us, default_size_buckets, metric_names, Counter, Gauge, Histogram,
-    MetricsRegistry,
-};
+use problp_telemetry::{metric_names, Counter, Gauge, Histogram, MetricsRegistry};
 
 use super::admission::Priority;
 use super::pool::ModelVersion;
@@ -110,7 +107,6 @@ impl ServeMetrics {
                         ("priority", priority_name(p)),
                     ],
                     "enqueue-to-completion sojourn per lane, microseconds",
-                    default_latency_buckets_us(),
                 )
             })
         });
@@ -119,7 +115,6 @@ impl ServeMetrics {
                 metric_names::ENGINE_EVALUATE_US,
                 &[("query", query_kind_name(q))],
                 "engine evaluate wall time per dispatched group, microseconds",
-                default_latency_buckets_us(),
             )
         });
         let flag_raises = ["overflow", "underflow", "inexact", "invalid"].map(|flag| {
@@ -165,12 +160,10 @@ impl ServeMetrics {
             group_lanes: registry.histogram(
                 metric_names::SERVE_GROUP_LANES,
                 "lanes per dispatched group",
-                default_size_buckets(),
             ),
             effective_wait_us: registry.histogram(
                 metric_names::SERVE_EFFECTIVE_WAIT_US,
                 "adaptive coalescing wait applied per dispatched group, microseconds",
-                default_latency_buckets_us(),
             ),
             aging_promotions: registry.counter(
                 metric_names::SERVE_AGING_PROMOTIONS_TOTAL,

@@ -26,6 +26,10 @@ use super::admission::{LaneResult, ServeError, ServeRequest, ServeResponse};
 /// version can never serve a request admitted under another.
 pub type ModelVersion = u64;
 
+/// Threads per hosted engine evaluation: one, so the dispatcher shards
+/// ([`super::ServeConfig::workers`]) stay the unit of parallelism.
+const ENGINE_THREADS: usize = 1;
+
 /// One hosted model: the engines serving its three query kinds, frozen
 /// at one tape version. Queued and in-flight work holds an `Arc` to the
 /// tenant it was admitted under, so a reload never changes the tape a
@@ -52,7 +56,6 @@ pub(crate) struct Tenant<A: Arith> {
 /// work already queued against the previous version.
 pub struct CircuitPool<A: Arith> {
     ctx: A,
-    engine_threads: usize,
     kernel: KernelKind,
     tenants: RwLock<HashMap<String, Arc<Tenant<A>>>>,
 }
@@ -75,19 +78,9 @@ where
     pub fn new(ctx: A) -> Self {
         CircuitPool {
             ctx,
-            engine_threads: 1,
             kernel: KernelKind::Scalar,
             tenants: RwLock::new(HashMap::new()),
         }
-    }
-
-    /// Sets the thread cap of every engine registered *after* this call
-    /// (`0` = all cores). The default of 1 keeps engine evaluations
-    /// single-threaded so the dispatcher shards stay the unit of
-    /// parallelism.
-    pub fn with_engine_threads(mut self, threads: usize) -> Self {
-        self.engine_threads = threads;
-        self
     }
 
     /// Selects the evaluator core ([`crate::KernelKind`]) of every engine
@@ -116,18 +109,18 @@ where
         &self.ctx
     }
 
-    /// Compiles both serving engines for `ac` under the pool's context,
-    /// threads and kernel — the shared build step of [`register`] and
+    /// Compiles both serving engines for `ac` under the pool's context
+    /// and kernel — the shared build step of [`register`] and
     /// [`reload`].
     ///
     /// [`register`]: CircuitPool::register
     /// [`reload`]: CircuitPool::reload
     fn compile_engines(&self, ac: &AcGraph) -> Result<(Engine<A>, Engine<A>), EngineError> {
         let sum = Engine::from_graph(ac, Semiring::SumProduct, self.ctx.clone())?
-            .with_threads(self.engine_threads)
+            .with_threads(ENGINE_THREADS)
             .with_kernel(self.kernel);
         let mpe = Engine::from_graph_full(ac, Semiring::MaxProduct, self.ctx.clone())?
-            .with_threads(self.engine_threads)
+            .with_threads(ENGINE_THREADS)
             .with_kernel(self.kernel);
         Ok((sum, mpe))
     }

@@ -3,7 +3,7 @@
 //! thread, and spawns/joins the dispatcher shards.
 
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use problp_ac::AcGraph;
 use problp_bayes::EvidenceBatch;
@@ -83,8 +83,11 @@ where
                 .model_version_gauge(&model)
                 .set(version as i64);
         }
+        // Each shard is counted live before it is spawned, so `stats()`
+        // right after `start` already sees every worker.
         let workers = (0..config.workers.max(1))
             .map(|_| {
+                shared.metrics.live_workers.add(1);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
             })
@@ -323,31 +326,6 @@ where
             .collect()
     }
 
-    /// Like [`Server::serve_all`], but the whole drain shares one
-    /// `deadline` budget ([`Ticket::wait_deadline`] with the remaining
-    /// budget per ticket): a wedged dispatcher yields typed
-    /// [`ServeError::Timeout`] slots within roughly `deadline` overall
-    /// instead of blocking the caller forever (or for one deadline per
-    /// request).
-    pub fn serve_all_deadline(
-        &self,
-        requests: &[ServeRequest],
-        deadline: Duration,
-    ) -> Vec<LaneResult<A::Value>> {
-        let tickets: Vec<Result<Ticket<A::Value>, ServeError>> =
-            requests.iter().map(|r| self.submit(r.clone())).collect();
-        let overall = Instant::now() + deadline;
-        tickets
-            .into_iter()
-            .map(|t| match t {
-                Ok(ticket) => {
-                    ticket.wait_deadline(overall.saturating_duration_since(Instant::now()))
-                }
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
-
     /// Stops admission, drains the queue and joins the dispatchers.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
@@ -387,6 +365,7 @@ mod tests {
     use problp_ac::compile;
     use problp_bayes::{networks, BatchQuery, Evidence, VarId};
     use problp_num::F64Arith;
+    use std::time::Duration;
 
     #[test]
     fn mixed_tenant_trace_is_bit_identical_to_serve_one() {

@@ -22,24 +22,18 @@ impl<V> Ticket<V> {
         Ticket { rx }
     }
 
-    /// Like [`Ticket::wait`], but also returns the instant the
-    /// dispatcher finished the request — so a caller measuring latency
-    /// sees completion time, not the (possibly much later) moment it
-    /// got around to draining the ticket.
-    pub fn wait_timed(self) -> (LaneResult<V>, Instant) {
+    /// Blocks until the request's result arrives.
+    pub fn wait(self) -> LaneResult<V> {
         match self.rx.recv() {
-            Ok((completed, result)) => (result, completed),
-            Err(_) => (Err(ServeError::Disconnected), Instant::now()),
+            Ok((_, result)) => result,
+            Err(_) => Err(ServeError::Disconnected),
         }
     }
 
-    /// Blocks until the request's result arrives.
-    pub fn wait(self) -> LaneResult<V> {
-        self.wait_timed().0
-    }
-
     /// Like [`Ticket::wait_deadline`], but also returns the instant the
-    /// dispatcher finished the request (see [`Ticket::wait_timed`]).
+    /// dispatcher finished the request — so a caller measuring latency
+    /// sees completion time, not the (possibly much later) moment it
+    /// got around to draining the ticket.
     pub fn wait_deadline_timed(&self, deadline: Duration) -> (LaneResult<V>, Instant) {
         match self.rx.recv_timeout(deadline) {
             Ok((completed, result)) => (result, completed),

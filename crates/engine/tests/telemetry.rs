@@ -172,14 +172,6 @@ fn health_fn_reflects_worker_liveness() {
         },
     );
     let health = server.health_fn();
-    // Workers spawn asynchronously; liveness settles quickly.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while std::time::Instant::now() < deadline {
-        if health().healthy {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
     let status = health();
     assert!(status.healthy);
     assert!(status
@@ -193,4 +185,21 @@ fn health_fn_reflects_worker_liveness() {
         .detail
         .iter()
         .any(|(k, v)| k == "workers_alive" && v == "0"));
+}
+
+/// Every shard is counted live before `start` returns: no sleep, no
+/// poll, for any worker count.
+#[test]
+fn live_workers_are_counted_when_start_returns() {
+    for workers in 1..=8 {
+        let server = Server::start(
+            two_model_pool(),
+            ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            },
+        );
+        assert_eq!(server.stats().live_workers, workers as i64);
+        server.shutdown();
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! Everything the serving stack exports about itself flows through this
 //! crate: a [`MetricsRegistry`] of atomic counters, gauges and
-//! fixed-bucket histograms (lock-free hot path, Prometheus text
+//! log-linear histograms (lock-free hot path, Prometheus text
 //! rendering), a hand-rolled JSON value type ([`JsonValue`]) for
 //! `/statz` and `BENCH_*.json`, the one HTTP/1.1 server core
 //! ([`HttpServer`]) shared with the query gateway, and the [`Sidecar`]
@@ -23,7 +23,7 @@
 //! ## Example
 //!
 //! ```
-//! use problp_telemetry::{MetricsRegistry, default_latency_buckets_us};
+//! use problp_telemetry::MetricsRegistry;
 //! use std::sync::Arc;
 //!
 //! let registry = Arc::new(MetricsRegistry::new());
@@ -31,7 +31,6 @@
 //! let latency = registry.histogram(
 //!     "problp_serve_sojourn_us",
 //!     "submit-to-completion, microseconds",
-//!     default_latency_buckets_us(),
 //! );
 //! admitted.add(3);
 //! latency.observe(120);
@@ -53,10 +52,7 @@ pub use httpd::{
     HttpLimits, HttpRequest, HttpResponse, HttpServer, Incoming,
 };
 pub use json::{JsonError, JsonErrorKind, JsonValue};
-pub use registry::{
-    default_latency_buckets_us, default_size_buckets, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry,
-};
+pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use sidecar::{HealthFn, HealthStatus, Sidecar};
 
 /// The serve-pipeline metric catalog: one documented constant per
@@ -168,44 +164,93 @@ mod tests {
 
     #[test]
     fn histogram_bucket_edges_are_inclusive_upper_bounds() {
-        let h = Histogram::new(&[10, 20, 50]);
-        // Exactly on an edge → that bucket, one past → the next.
-        h.observe(10);
-        h.observe(11);
-        h.observe(20);
-        h.observe(21);
-        h.observe(50);
-        h.observe(51); // +Inf bucket
-        h.observe(0); // below the first edge → first bucket
+        let h = Histogram::new();
+        // 0..=15 are exact buckets; 16..=31 still have width 1; from 32
+        // on a bucket spans 1/16 of its power-of-two range.
+        for v in [0, 15, 16, 31, 32, 33, 34, 35, 1000, 1023, 1024] {
+            h.observe(v);
+        }
         let snap = h.snapshot();
-        assert_eq!(snap.bounds, vec![10, 20, 50]);
-        assert_eq!(snap.counts, vec![2, 2, 2, 1]);
-        assert_eq!(snap.count, 7);
-        assert_eq!(snap.sum, 10 + 11 + 20 + 21 + 50 + 51);
-        assert_eq!(snap.max, 51);
+        assert_eq!(
+            snap.buckets,
+            vec![
+                (0, 1),
+                (15, 1),
+                (16, 1),
+                (31, 1),
+                (33, 2),
+                (35, 2),
+                (1023, 2),
+                (1087, 1),
+            ]
+        );
+        assert_eq!(snap.count, 11);
+        assert_eq!(
+            snap.sum,
+            15 + 16 + 31 + 32 + 33 + 34 + 35 + 1000 + 1023 + 1024
+        );
+        assert_eq!(snap.max, 1024);
+        // The top bucket ends at u64::MAX.
+        let top = Histogram::new();
+        top.observe(u64::MAX);
+        assert_eq!(top.snapshot().buckets, vec![(u64::MAX, 1)]);
     }
 
     #[test]
     fn histogram_quantiles_nearest_rank() {
-        let h = Histogram::new(&[1, 2, 5, 10]);
+        let h = Histogram::new();
         for v in [1, 1, 2, 5, 9] {
             h.observe(v);
         }
         let snap = h.snapshot();
         assert_eq!(snap.quantile(0.0), Some(1));
         assert_eq!(snap.quantile(50.0), Some(2));
-        // p100 clamps to the observed max, never out of range.
+        // p100 is the observed max, never out of range.
         assert_eq!(snap.quantile(100.0), Some(9));
         assert_eq!(snap.quantile(f64::NAN), Some(1));
-        assert_eq!(Histogram::new(&[1]).snapshot().quantile(50.0), None);
+        assert_eq!(Histogram::new().snapshot().quantile(50.0), None);
     }
 
     #[test]
     fn quantile_caps_at_observed_max_within_bucket() {
-        let h = Histogram::new(&[1_000_000]);
-        h.observe(3);
-        // Everything is in the 1s bucket but the real max is 3 µs.
-        assert_eq!(h.snapshot().quantile(99.0), Some(3));
+        let h = Histogram::new();
+        h.observe(1_000_001);
+        // The bucket ends at 1_015_807, but the real max is 1_000_001.
+        assert_eq!(h.snapshot().buckets, vec![(1_015_807, 1)]);
+        assert_eq!(h.snapshot().quantile(99.0), Some(1_000_001));
+    }
+
+    #[test]
+    fn quantiles_stay_within_a_sixteenth_of_the_exact_rank() {
+        // A seeded spread from 1 to ~10^6: six orders of magnitude.
+        let h = Histogram::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut values: Vec<u64> = (0..5_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let digits = (state % 7) as u32;
+                1 + (state >> 8) % 10u64.pow(digits)
+            })
+            .collect();
+        for &v in &values {
+            h.observe(v);
+        }
+        values.sort_unstable();
+        let snap = h.snapshot();
+        for p in [0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
+            let rank = ((p / 100.0) * values.len() as f64).ceil().max(1.0) as usize;
+            let exact = values[rank - 1];
+            let q = snap.quantile(p).expect("non-empty");
+            assert!(
+                (exact..=exact + exact / 16).contains(&q),
+                "p{p}: {q} vs exact {exact}"
+            );
+            assert!(q <= snap.max);
+        }
+        assert!(values[0] < 10 && snap.max > 100_000);
+        assert!(snap.quantile(50.0) < snap.quantile(99.0));
     }
 
     #[test]
@@ -220,7 +265,7 @@ mod tests {
         let g = registry.gauge("problp_serve_queue_depth", "groups waiting");
         g.set(7);
         g.set(2);
-        let h = registry.histogram("req_us", "request latency", &[10, 100]);
+        let h = registry.histogram("req_us", "request latency");
         h.observe(5);
         h.observe(10);
         h.observe(500);
@@ -234,8 +279,9 @@ problp_serve_queue_depth 2
 problp_serve_queue_depth_high_water 7
 # HELP req_us request latency
 # TYPE req_us histogram
+req_us_bucket{le=\"5\"} 1
 req_us_bucket{le=\"10\"} 2
-req_us_bucket{le=\"100\"} 2
+req_us_bucket{le=\"511\"} 3
 req_us_bucket{le=\"+Inf\"} 3
 req_us_sum 515
 req_us_count 3

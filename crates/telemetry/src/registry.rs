@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
+//! The metrics registry: named counters, gauges and log-linear
 //! histograms with a lock-free hot path.
 //!
 //! Registration (`[MetricsRegistry::counter]` and friends) takes a
@@ -13,8 +13,9 @@
 //! * Metric names are `snake_case` with a unit suffix where one applies
 //!   (`_us` for microseconds, `_total` for monotone counters).
 //! * Histograms store **microsecond** (or plain count) observations in
-//!   fixed buckets chosen at registration; bucket edges are *inclusive
-//!   upper bounds* (`value <= bound`), matching Prometheus `le`.
+//!   one fixed log-linear bucket layout (see [`Histogram`]); bucket
+//!   edges are *inclusive upper bounds* (`value <= bound`), matching
+//!   Prometheus `le`, and only non-empty buckets are rendered.
 //! * Every gauge also exports a `<name>_high_water` series — the
 //!   largest value the gauge ever held — because queue-depth style
 //!   gauges are most useful with their high-water mark.
@@ -83,54 +84,76 @@ impl Gauge {
     }
 }
 
+/// Each power-of-two range `[2^k, 2^(k+1))` is cut into `2^SUB_BITS`
+/// equal-width buckets; values below `2^SUB_BITS` get a bucket each.
+const SUB_BITS: usize = 4;
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+/// 16 exact buckets for `0..16`, then 16 for each of the 60 ranges
+/// `[2^4, 2^5)` .. `[2^63, 2^64)`: 976 in all.
+const BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS + 1);
+
+/// The bucket `value` lands in.
+fn bucket_index(value: u64) -> usize {
+    if value < SUB_BUCKETS as u64 {
+        return value as usize;
+    }
+    let k = 63 - value.leading_zeros() as usize;
+    let sub = (value >> (k - SUB_BITS)) as usize & (SUB_BUCKETS - 1);
+    (k - SUB_BITS + 1) * SUB_BUCKETS + sub
+}
+
+/// The largest value bucket `idx` holds (its inclusive upper edge).
+fn bucket_upper(idx: usize) -> u64 {
+    if idx < SUB_BUCKETS {
+        return idx as u64;
+    }
+    let shift = idx / SUB_BUCKETS - 1;
+    let lower = ((SUB_BUCKETS + idx % SUB_BUCKETS) as u64) << shift;
+    lower + ((1u64 << shift) - 1)
+}
+
 #[derive(Debug)]
 struct HistogramCell {
-    /// Inclusive upper bounds of the finite buckets, ascending.
-    bounds: Vec<u64>,
-    /// Per-bucket observation counts (NOT cumulative); one extra slot
-    /// for the `+Inf` bucket.
-    counts: Vec<AtomicU64>,
+    /// Per-bucket observation counts (not cumulative).
+    counts: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     total: AtomicU64,
     max: AtomicU64,
 }
 
-/// A fixed-bucket histogram of non-negative integer observations
-/// (latencies in microseconds, batch sizes). Observing is a binary
-/// search plus three atomic adds — no lock.
+/// A histogram of non-negative integer observations (latencies in
+/// microseconds, batch sizes, byte counts) over one fixed log-linear
+/// layout: values 0–15 get a bucket each, and every power-of-two range
+/// `[2^k, 2^(k+1))` up to `2^63` is cut into 16 equal-width buckets —
+/// 976 counters, so no caller picks bucket edges. A bucket's width is
+/// at most 1/16 of any value in it, which bounds
+/// [`HistogramSnapshot::quantile`]'s error. Observing is an index
+/// computation plus four atomic updates — no lock.
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramCell>);
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new()
+    }
+}
+
 impl Histogram {
     /// Creates a standalone histogram (not attached to any registry —
-    /// useful for study-local percentile accounting). `bounds` are the
-    /// inclusive upper bucket edges; they are sorted and deduplicated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty.
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(!bounds.is_empty(), "a histogram needs at least one bucket");
-        let mut bounds = bounds.to_vec();
-        bounds.sort_unstable();
-        bounds.dedup();
-        let counts = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
+    /// useful for study-local percentile accounting).
+    pub fn new() -> Self {
         Histogram(Arc::new(HistogramCell {
-            bounds,
-            counts,
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             total: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }))
     }
 
-    /// Records one observation. A value exactly on a bucket edge lands
-    /// in that bucket (edges are inclusive upper bounds, like
-    /// Prometheus `le`).
+    /// Records one observation.
     pub fn observe(&self, value: u64) {
         let cell = &self.0;
-        let idx = cell.bounds.partition_point(|&b| b < value);
-        cell.counts[idx].fetch_add(1, Ordering::Relaxed);
+        cell.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         cell.sum.fetch_add(value, Ordering::Relaxed);
         cell.total.fetch_add(1, Ordering::Relaxed);
         cell.max.fetch_max(value, Ordering::Relaxed);
@@ -149,11 +172,12 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         let cell = &self.0;
         HistogramSnapshot {
-            bounds: cell.bounds.clone(),
-            counts: cell
+            buckets: cell
                 .counts
                 .iter()
-                .map(|c| c.load(Ordering::Relaxed))
+                .enumerate()
+                .map(|(i, c)| (bucket_upper(i), c.load(Ordering::Relaxed)))
+                .filter(|&(_, count)| count > 0)
                 .collect(),
             sum: cell.sum.load(Ordering::Relaxed),
             count: cell.total.load(Ordering::Relaxed),
@@ -162,16 +186,15 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`]'s buckets, with quantile
-/// estimation — what the perf-trajectory (`BENCH_*.json`) files derive
-/// their latency percentiles from.
+/// A point-in-time copy of a [`Histogram`], with quantile estimation —
+/// what the perf-trajectory (`BENCH_*.json`) files and every latency
+/// report derive their percentiles from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Inclusive upper bounds of the finite buckets, ascending.
-    pub bounds: Vec<u64>,
-    /// Per-bucket observation counts (not cumulative); the last slot is
-    /// the `+Inf` bucket.
-    pub counts: Vec<u64>,
+    /// The non-empty buckets as `(inclusive upper edge, count)`,
+    /// ascending by edge; counts are not cumulative. Counts never fall,
+    /// so later snapshots of one histogram only add edges.
+    pub buckets: Vec<(u64, u64)>,
     /// Sum of all observations.
     pub sum: u64,
     /// Number of observations.
@@ -181,10 +204,12 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The estimated `p`-th percentile (0..=100): the inclusive upper
-    /// bound of the first bucket whose cumulative count reaches the
-    /// rank. Observations in the `+Inf` bucket report the observed
-    /// maximum. Returns `None` on an empty histogram.
+    /// The estimated `p`-th percentile (0..=100, a non-finite `p` reads
+    /// as 0): the upper edge of the bucket holding the nearest-rank
+    /// observation, capped at the observed maximum. So the estimate is
+    /// never below the exact nearest-rank value `x`, never above
+    /// `x + x/16`, and never above `max`. Returns `None` on an empty
+    /// histogram.
     pub fn quantile(&self, p: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -194,17 +219,12 @@ impl HistogramSnapshot {
         } else {
             0.0
         };
-        // Nearest-rank on the cumulative bucket counts.
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
+        for &(upper, count) in &self.buckets {
+            seen += count;
             if seen >= rank {
-                return Some(if i < self.bounds.len() {
-                    self.bounds[i].min(self.max)
-                } else {
-                    self.max
-                });
+                return Some(upper.min(self.max));
             }
         }
         Some(self.max)
@@ -218,22 +238,6 @@ impl HistogramSnapshot {
             Some(self.sum as f64 / self.count as f64)
         }
     }
-}
-
-/// The default microsecond-latency bucket edges: roughly logarithmic
-/// from 1 µs to 1 s. Shared by every latency histogram in the serve
-/// pipeline so percentiles stay comparable across metrics and PRs.
-pub fn default_latency_buckets_us() -> &'static [u64] {
-    &[
-        1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
-        200_000, 500_000, 1_000_000,
-    ]
-}
-
-/// The default batch-size bucket edges (powers of two up to 1024) for
-/// coalescing-group histograms.
-pub fn default_size_buckets() -> &'static [u64] {
-    &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 }
 
 /// One registered series and its handle.
@@ -381,30 +385,23 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get-or-create an unlabelled histogram with the given inclusive
-    /// upper bucket bounds.
+    /// Get-or-create an unlabelled histogram.
     ///
     /// # Panics
     ///
-    /// Panics on a metric-type clash or empty `bounds`.
-    pub fn histogram(&self, name: &str, help: &str, bounds: &[u64]) -> Histogram {
-        self.histogram_with(name, &[], help, bounds)
+    /// Panics on a metric-type clash (see [`MetricsRegistry::counter`]).
+    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
+        self.histogram_with(name, &[], help)
     }
 
     /// Get-or-create a histogram with labels.
     ///
     /// # Panics
     ///
-    /// Panics on a metric-type clash or empty `bounds`.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-        bounds: &[u64],
-    ) -> Histogram {
+    /// Panics on a metric-type clash (see [`MetricsRegistry::counter`]).
+    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Histogram {
         match self.get_or_insert(name, labels, help, || {
-            SeriesKind::Histogram(Histogram::new(bounds))
+            SeriesKind::Histogram(Histogram::new())
         }) {
             SeriesKind::Histogram(h) => h,
             other => panic!("{name} is registered as a {}", other.type_name()),
@@ -452,12 +449,12 @@ impl MetricsRegistry {
                 SeriesKind::Histogram(h) => {
                     let snap = h.snapshot();
                     let mut cumulative = 0u64;
-                    for (i, bound) in snap.bounds.iter().enumerate() {
-                        cumulative += snap.counts[i];
+                    for (upper, count) in &snap.buckets {
+                        cumulative += count;
                         out.push_str(&format!(
                             "{}_bucket{} {}\n",
                             s.name,
-                            label_block(&s.labels, &[("le", &bound.to_string())]),
+                            label_block(&s.labels, &[("le", &upper.to_string())]),
                             cumulative
                         ));
                     }
@@ -521,13 +518,12 @@ impl MetricsRegistry {
                         obj.push((
                             "buckets".to_string(),
                             JsonValue::Array(
-                                snap.bounds
+                                snap.buckets
                                     .iter()
-                                    .zip(&snap.counts)
-                                    .map(|(b, c)| {
+                                    .map(|&(upper, count)| {
                                         JsonValue::Object(vec![
-                                            ("le".to_string(), JsonValue::from(*b)),
-                                            ("count".to_string(), JsonValue::from(*c)),
+                                            ("le".to_string(), JsonValue::from(upper)),
+                                            ("count".to_string(), JsonValue::from(count)),
                                         ])
                                     })
                                     .collect(),
@@ -583,4 +579,29 @@ fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bucket_edges_tile_the_whole_u64_range() {
+        assert_eq!(bucket_index(0), 0);
+        for idx in 0..BUCKETS {
+            let upper = bucket_upper(idx);
+            assert_eq!(bucket_index(upper), idx, "edge {upper}");
+            if idx + 1 < BUCKETS {
+                assert_eq!(bucket_index(upper + 1), idx + 1, "past edge {upper}");
+            }
+            // Every value in the bucket is within 1/16 of its edge.
+            let lower = if idx == 0 {
+                0
+            } else {
+                bucket_upper(idx - 1) + 1
+            };
+            assert!(upper - lower <= lower / 16, "bucket {lower}..={upper}");
+        }
+        assert_eq!(bucket_upper(BUCKETS - 1), u64::MAX);
+    }
 }

@@ -122,6 +122,7 @@ use std::time::{Duration, Instant};
 
 use problp::ac::transform::binarize;
 use problp::bench::scenario::{self, Mix};
+use problp::bench::{latency_line, rate_of};
 use problp::engine::{KernelKind, LaneResult, ServeError};
 use problp::prelude::*;
 use problp::telemetry::{MetricsRegistry, Sidecar};
@@ -468,20 +469,6 @@ fn on_network(command: &str, network: &Path, o: &Opts) -> Result<(), Box<dyn Err
     }
 }
 
-/// Runs `f` repeatedly for at least ~0.3 s and returns its rate in units
-/// of `per_call` outputs per second.
-fn rate_of(mut f: impl FnMut(), per_call: usize) -> f64 {
-    use std::time::Instant;
-    f();
-    let start = Instant::now();
-    let mut calls = 0u64;
-    while start.elapsed().as_secs_f64() < 0.3 {
-        f();
-        calls += 1;
-    }
-    calls as f64 * per_call as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Measures bulk-inference throughput of the circuit — the scalar
 /// tree-walk versus the batched execution engine — over `batch` evidence
 /// instances cycling through the single-variable observations, for the
@@ -666,22 +653,6 @@ fn load_model(spec: &str, seed: u64) -> Result<(String, BayesNet), String> {
     Ok((name, net))
 }
 
-/// Renders the p50/p90/p99/max line of an ascending-sorted latency
-/// sample (`-` for an empty sample).
-fn latency_line(sorted_us: &[u128]) -> String {
-    let q = |p: f64| {
-        problp::bench::percentile_us(sorted_us, p)
-            .map_or_else(|| "-".to_string(), |us| us.to_string())
-    };
-    format!(
-        "p50 {}us  p90 {}us  p99 {}us  max {}us",
-        q(50.0),
-        q(90.0),
-        q(99.0),
-        sorted_us.last().copied().unwrap_or(0)
-    )
-}
-
 /// Starts the `/metrics` + `/healthz` sidecar on `--metrics-addr`, if
 /// given, over the server's registry; port 0 picks a free port, printed
 /// for external scrapers (and the CI smoke tests).
@@ -850,17 +821,17 @@ fn serve_sim(o: &Opts) -> Result<(), Box<dyn Error>> {
     );
     // Overall sojourn percentiles, then per priority class when the
     // trace actually mixes classes.
-    let all = burst.sorted_us(&trace, |_| true);
+    let all = burst.latency(|_| true);
     println!("  latency (sojourn): {}", latency_line(&all));
     for class in [Priority::Interactive, Priority::Batch] {
-        let lane = burst.sorted_us(&trace, |r| r.priority == class);
-        if lane.is_empty() || lane.len() == all.len() {
+        let lane = burst.latency(|i| trace[i].priority == class);
+        if lane.count == 0 || lane.count == all.count {
             continue; // single-class trace: the overall line covers it
         }
         println!(
             "  latency ({class}): {}  ({} requests)",
             latency_line(&lane),
-            lane.len()
+            lane.count
         );
     }
     let scalar_total: Duration = scalar.iter().map(|(_, d)| *d).sum();
@@ -1046,7 +1017,7 @@ fn write_bench(
         scenario: scenario_name.to_string(),
         requests: requests as u64,
         throughput_rps: burst.throughput_rps(),
-        latency: Some(burst.latency()),
+        latency: Some(burst.latency(|_| true)),
         rejects: rejects as u64,
         extra: extra.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
     };
@@ -1428,7 +1399,7 @@ fn serve_http(o: &Opts) -> Result<(), Box<dyn Error>> {
 
     println!(
         "  latency (round-trip): {}",
-        latency_line(&burst.sorted_us(&trace, |_| true))
+        latency_line(&burst.latency(|_| true))
     );
     println!(
         "  trace: {:>9.2} ms total  ({:>10.0} req/s over sockets)",
