@@ -15,9 +15,9 @@
 //! Both evaluations run on the execution engine's **full-values tape**
 //! (`problp-engine`, [`Tape::compile_full`]): every node keeps a stable
 //! register, so one engine sweep returns the whole per-node value vector
-//! — bit-identical to the scalar tree-walk the analyses used before the
-//! engine existed ([`AcAnalysis::new_scalar`] keeps that reference
-//! implementation, and the test suite pins the two against each other).
+//! — bit-identical to the scalar tree-walk
+//! ([`AcGraph::evaluate_nodes`]) the analyses used before the engine
+//! existed; the test suite pins the two against each other.
 
 use problp_ac::{AcGraph, Semiring};
 use problp_bayes::Evidence;
@@ -55,7 +55,7 @@ pub struct AcAnalysis {
 impl AcAnalysis {
     /// Runs both analyses on a circuit, evaluating through the execution
     /// engine's full-values tape (one sweep per semiring; bit-identical
-    /// to [`AcAnalysis::new_scalar`]).
+    /// to [`AcGraph::evaluate_nodes`]).
     ///
     /// # Errors
     ///
@@ -72,26 +72,6 @@ impl AcAnalysis {
         };
         let max_values = sweep(Semiring::SumProduct)?;
         let min_values = sweep(Semiring::MinProduct)?;
-        Self::from_values(ac, max_values, min_values)
-    }
-
-    /// Runs both analyses on the scalar tree-walk
-    /// ([`AcGraph::evaluate_nodes`]) — the pre-engine reference
-    /// implementation, kept so the engine-backed path can be pinned
-    /// bit-identical against it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoundsError::MissingRoot`] for rootless circuits.
-    pub fn new_scalar(ac: &AcGraph) -> Result<Self, BoundsError> {
-        let all_ones = Evidence::empty(ac.var_count());
-        let mut ctx = F64Arith::new();
-        let max_values = ac
-            .evaluate_nodes(&mut ctx, &all_ones, Semiring::SumProduct)
-            .map_err(|_| BoundsError::MissingRoot)?;
-        let min_values = ac
-            .evaluate_nodes(&mut ctx, &all_ones, Semiring::MinProduct)
-            .map_err(|_| BoundsError::MissingRoot)?;
         Self::from_values(ac, max_values, min_values)
     }
 
@@ -258,10 +238,6 @@ mod tests {
     fn rootless_circuit_is_rejected() {
         let g = AcGraph::new(vec![2]);
         assert_eq!(AcAnalysis::new(&g).unwrap_err(), BoundsError::MissingRoot);
-        assert_eq!(
-            AcAnalysis::new_scalar(&g).unwrap_err(),
-            BoundsError::MissingRoot
-        );
     }
 
     /// The tentpole contract: the engine-backed analysis (full-values
@@ -287,20 +263,18 @@ mod tests {
             let net = networks::random_network(seed, 7, 3, 3);
             circuits.push(compile(&net).unwrap());
         }
+        let mut ctx = F64Arith::new();
         for ac in &circuits {
             let engine = AcAnalysis::new(ac).unwrap();
-            let scalar = AcAnalysis::new_scalar(ac).unwrap();
-            assert_eq!(bits(engine.max_values()), bits(scalar.max_values()));
-            assert_eq!(bits(engine.min_values()), bits(scalar.min_values()));
-            assert_eq!(engine.root_max().to_bits(), scalar.root_max().to_bits());
+            let all_ones = Evidence::empty(ac.var_count());
+            let mut scalar = |semiring| ac.evaluate_nodes(&mut ctx, &all_ones, semiring).unwrap();
             assert_eq!(
-                engine.root_min_positive().to_bits(),
-                scalar.root_min_positive().to_bits()
+                bits(engine.max_values()),
+                bits(&scalar(Semiring::SumProduct))
             );
-            assert_eq!(engine.global_max().to_bits(), scalar.global_max().to_bits());
             assert_eq!(
-                engine.global_min_positive().to_bits(),
-                scalar.global_min_positive().to_bits()
+                bits(engine.min_values()),
+                bits(&scalar(Semiring::MinProduct))
             );
         }
     }

@@ -19,20 +19,21 @@
 //! converted via [`Arith::from_f64`] once at engine construction and
 //! broadcast into their pinned rows once per shard.
 //!
-//! Flag capture comes in two grades: [`Engine::evaluate_batch`] returns
-//! the sticky [`Flags`] aggregated over the whole batch (what
-//! `measure_errors` needs), while [`Engine::evaluate_batch_flagged`]
-//! re-runs lane-major with a fresh context per lane and reports
-//! per-lane flags — the input the fixed/float range analyses need to
-//! pinpoint which instance violated a format's range.
+//! This is the engine's only batch sweep. [`Engine::evaluate_batch`]
+//! keeps each lane's root register; [`Engine::mpe_batch`] also walks
+//! each lane's registers for its argmax traceback, read straight from
+//! the block's `[register][lane]` rows. Sticky [`Flags`] are aggregated
+//! over the whole batch; a caller that needs one lane's flags sweeps
+//! that lane alone.
 //!
 //! # Kernels
 //!
-//! Batch sweeps run the fused superinstruction stream
-//! ([`KernelKind::Fused`], the default) unless an engine is pinned to
-//! the scalar reference with [`Engine::with_kernel`]. The stream is
-//! built lazily, on the first fused batch sweep, so an engine that only
-//! ever answers single instances never pays for [`Tape::fuse`].
+//! Batch sweeps, MPE decoding included, run the fused superinstruction
+//! stream ([`KernelKind::Fused`], the default) unless an engine is
+//! pinned to the scalar reference with [`Engine::with_kernel`]. The
+//! stream is built lazily, on the first fused batch sweep, so an engine
+//! that only ever answers single instances never pays for
+//! [`Tape::fuse`].
 
 use std::sync::OnceLock;
 
@@ -68,16 +69,20 @@ pub struct BatchResult<V> {
     pub flags: Flags,
 }
 
-/// The result of a flag-capturing batch evaluation.
-#[derive(Clone, Debug)]
-pub struct FlaggedBatchResult<V> {
-    /// The root value of each lane, in batch order.
-    pub values: Vec<V>,
-    /// The sticky flags each individual lane raised (parameter-conversion
-    /// flags included), in batch order.
-    pub lane_flags: Vec<Flags>,
-    /// The OR of `lane_flags`.
-    pub flags: Flags,
+/// One lane's view of a lane block's SoA register file: register `r`
+/// of the lane is `rows[r * chunk + lane]`.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneRegs<'a, V> {
+    rows: &'a [V],
+    chunk: usize,
+    lane: usize,
+}
+
+impl<'a, V> LaneRegs<'a, V> {
+    /// The lane's value of register `reg`.
+    pub(crate) fn get(&self, reg: u32) -> &'a V {
+        &self.rows[reg as usize * self.chunk + self.lane]
+    }
 }
 
 /// A compiled circuit bound to a number system, ready for bulk
@@ -110,12 +115,12 @@ pub struct Engine<A: Arith> {
     /// Parameter constants pre-converted into the engine's number system;
     /// `consts[p]` is broadcast into register row `param_regs[p]` before
     /// each sweep.
-    pub(crate) consts: Vec<A::Value>,
+    consts: Vec<A::Value>,
     /// Flags raised converting the constants (merged into every result).
-    pub(crate) const_flags: Flags,
+    const_flags: Flags,
     pub(crate) zero: A::Value,
-    pub(crate) one: A::Value,
-    pub(crate) threads: usize,
+    one: A::Value,
+    threads: usize,
     chunk: usize,
     /// Which evaluator core batch sweeps dispatch through.
     kernel: KernelKind,
@@ -202,8 +207,7 @@ where
     /// reference path the fused stream is proven bit-identical to.
     ///
     /// The single-instance paths ([`Engine::evaluate_one`],
-    /// [`Engine::evaluate_nodes_one`]) and the per-lane flag capture
-    /// ([`Engine::evaluate_batch_flagged`]) always run the reference
+    /// [`Engine::evaluate_nodes_one`]) always run the reference
     /// instruction stream regardless of this setting.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
@@ -275,7 +279,7 @@ where
     }
 
     /// How many shards to use for `lanes` lanes.
-    pub(crate) fn shard_count(&self, lanes: usize) -> usize {
+    fn shard_count(&self, lanes: usize) -> usize {
         self.threads
             .min(lanes.div_ceil(MIN_LANES_PER_THREAD))
             .max(1)
@@ -299,95 +303,72 @@ where
         batch: &EvidenceBatch,
     ) -> Result<BatchResult<A::Value>, EngineError> {
         self.check_batch(batch)?;
-        let lanes = batch.lanes();
-        let mut values: Vec<A::Value> = vec![self.zero.clone(); lanes];
-        let mut flags = self.const_flags;
-        if lanes == 0 {
-            return Ok(BatchResult { values, flags });
-        }
+        let root = self.tape.root_reg();
+        let mut values: Vec<A::Value> = vec![self.zero.clone(); batch.lanes()];
+        let flags = self.sweep_batch(batch, &mut values, |regs, _| regs.get(root).clone())?;
+        Ok(BatchResult { values, flags })
+    }
 
+    /// The shard scaffold behind every batch entry point: sweeps the
+    /// lanes of `batch` through the engine's kernel and stores
+    /// `emit(registers of the lane, lane)` into `out[lane]`, where `out`
+    /// holds one slot per lane. Returns the sticky flags of the sweep
+    /// merged with the parameter-conversion flags.
+    ///
+    /// Lanes are split into contiguous shards, one scoped worker thread
+    /// each; a single shard runs inline on the caller's thread.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::WorkerPanic`] if a shard panicked, on the
+    /// inline path too: a panicking arithmetic must not take down the
+    /// caller's thread (outputs are discarded on error, and the engine
+    /// itself holds no mutable state).
+    pub(crate) fn sweep_batch<T: Send>(
+        &self,
+        batch: &EvidenceBatch,
+        out: &mut [T],
+        emit: impl Fn(LaneRegs<'_, A::Value>, usize) -> T + Sync,
+    ) -> Result<Flags, EngineError> {
+        let mut flags = self.const_flags;
+        let lanes = out.len();
+        if lanes == 0 {
+            return Ok(flags);
+        }
         // Built on the calling thread before any shard starts: a stream
         // built inside a shard would live in that thread's malloc arena,
         // which measurably raised peak RSS.
         let fused = self.fused_tape();
+        let emit = &emit;
         let shards = self.shard_count(lanes);
-        if shards <= 1 {
-            // The inline fast path honors the same WorkerPanic contract
-            // as the sharded one: a panicking arithmetic must not take
-            // down the caller's thread (values are discarded on error,
-            // the engine itself holds no mutable state).
+        let swept = if shards <= 1 {
             let swept = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.sweep_range(batch, fused, 0, &mut values)
+                self.sweep_range(batch, fused, 0, out, emit)
             }))
             .map_err(|payload| EngineError::WorkerPanic {
                 message: panic_message(payload),
             })?;
-            flags.merge(swept);
+            vec![swept]
         } else {
             let per = lanes.div_ceil(shards);
             let joined = std::thread::scope(|scope| {
-                let handles: Vec<_> = values
+                let handles: Vec<_> = out
                     .chunks_mut(per)
                     .enumerate()
                     .map(|(i, out)| {
-                        scope.spawn(move || self.sweep_range(batch, fused, i * per, out))
+                        scope.spawn(move || self.sweep_range(batch, fused, i * per, out, emit))
                     })
                     .collect();
                 // Join every handle before leaving the scope so one
                 // panicking shard cannot re-panic the scope exit.
                 handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
             });
-            for f in crate::error::collect_worker_results(joined)? {
-                flags.merge(f);
-            }
+            crate::error::collect_worker_results(joined)?
+        };
+        for f in swept {
+            flags.merge(f);
         }
-        Ok(BatchResult { values, flags })
-    }
-
-    /// Like [`Engine::evaluate_batch`], but captures the sticky flags of
-    /// every lane individually (fresh context per lane) — the per-instance
-    /// range-violation report the fixed/float analyses consume.
-    ///
-    /// This runs lane-major (no SoA inner loop), so prefer
-    /// [`Engine::evaluate_batch`] when aggregate flags suffice.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::evaluate_batch`].
-    pub fn evaluate_batch_flagged(
-        &self,
-        batch: &EvidenceBatch,
-    ) -> Result<FlaggedBatchResult<A::Value>, EngineError> {
-        self.check_batch(batch)?;
-        let lanes = batch.lanes();
-        let mut values: Vec<A::Value> = vec![self.zero.clone(); lanes];
-        let mut lane_flags: Vec<Flags> = vec![Flags::new(); lanes];
-        if lanes > 0 {
-            let shards = self.shard_count(lanes);
-            let per = lanes.div_ceil(shards);
-            let joined = std::thread::scope(|scope| {
-                let value_chunks = values.chunks_mut(per);
-                let flag_chunks = lane_flags.chunks_mut(per);
-                let handles: Vec<_> = value_chunks
-                    .zip(flag_chunks)
-                    .enumerate()
-                    .map(|(i, (vals, flgs))| {
-                        scope.spawn(move || self.sweep_lane_major(batch, i * per, vals, flgs))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            });
-            crate::error::collect_worker_results(joined)?;
-        }
-        let mut flags = Flags::new();
-        for f in &lane_flags {
-            flags.merge(*f);
-        }
-        Ok(FlaggedBatchResult {
-            values,
-            lane_flags,
-            flags,
-        })
+        Ok(flags)
     }
 
     /// Evaluates a single evidence instance on the reference tape path
@@ -437,7 +418,10 @@ where
         }
         let mut ctx = self.ctx.clone();
         ctx.clear_flags();
-        let mut regs = self.fresh_regs();
+        let mut regs: Vec<A::Value> = vec![self.zero.clone(); self.tape.num_regs()];
+        for (c, &r) in self.consts.iter().zip(self.tape.param_regs()) {
+            regs[r as usize] = c.clone();
+        }
         self.run_instrs(&mut ctx, &mut regs, |var| {
             evidence
                 .state(VarId::from_index(var as usize))
@@ -448,28 +432,13 @@ where
         Ok((regs, flags))
     }
 
-    /// A zero-filled scalar register file with the parameter constants
-    /// broadcast into their pinned registers.
-    pub(crate) fn fresh_regs(&self) -> Vec<A::Value> {
-        let mut regs: Vec<A::Value> = vec![self.zero.clone(); self.tape.num_regs()];
-        for (c, &r) in self.consts.iter().zip(self.tape.param_regs()) {
-            regs[r as usize] = c.clone();
-        }
-        regs
-    }
-
     /// Runs the instruction stream once over a scalar register file.
     /// `observed(var)` returns the evidence state of `var` or a negative
     /// value when the variable is unobserved (the [`UNOBSERVED`] column
     /// convention of [`EvidenceBatch`]).
     ///
     /// [`UNOBSERVED`]: problp_bayes::UNOBSERVED
-    pub(crate) fn run_instrs(
-        &self,
-        ctx: &mut A,
-        regs: &mut [A::Value],
-        observed: impl Fn(u32) -> i32,
-    ) {
+    fn run_instrs(&self, ctx: &mut A, regs: &mut [A::Value], observed: impl Fn(u32) -> i32) {
         for &instr in self.tape.instrs() {
             if let Instr::LoadIndicator { dst, slot } = instr {
                 let (var, state) = self.tape.slot(slot);
@@ -480,16 +449,18 @@ where
         }
     }
 
-    /// SoA sweep of the contiguous lane range starting at `start`, writing
-    /// root values into `out` (whose length determines the range) and
-    /// returning the shard's sticky flags. Runs the fused core when
-    /// `fused` is given, the scalar reference core otherwise.
-    fn sweep_range(
+    /// SoA sweep of the contiguous lane range starting at `start`: after
+    /// each lane block, `out[i] = emit(registers of lane, lane)` for every
+    /// lane of the block (`out`'s length determines the range). Returns
+    /// the shard's sticky flags. Runs the fused core when `fused` is
+    /// given, the scalar reference core otherwise.
+    fn sweep_range<T>(
         &self,
         batch: &EvidenceBatch,
         fused: Option<&FusedTape>,
         start: usize,
-        out: &mut [A::Value],
+        out: &mut [T],
+        emit: &impl Fn(LaneRegs<'_, A::Value>, usize) -> T,
     ) -> Flags {
         let mut ctx = self.ctx.clone();
         ctx.clear_flags();
@@ -514,8 +485,14 @@ where
                 }
                 None => self.sweep_chunk_scalar(&mut ctx, batch, &mut regs, chunk, base, n),
             }
-            let root = self.tape.root_reg() as usize * chunk;
-            out[done..done + n].clone_from_slice(&regs[root..root + n]);
+            for (lane, slot) in out[done..done + n].iter_mut().enumerate() {
+                let rows = LaneRegs {
+                    rows: &regs,
+                    chunk,
+                    lane,
+                };
+                *slot = emit(rows, base + lane);
+            }
             done += n;
         }
         ctx.flags()
@@ -633,37 +610,13 @@ where
             }
         }
     }
-
-    /// Lane-major sweep used by [`Engine::evaluate_batch_flagged`]: one
-    /// scalar register file, cleared flags per lane.
-    fn sweep_lane_major(
-        &self,
-        batch: &EvidenceBatch,
-        start: usize,
-        out: &mut [A::Value],
-        flags_out: &mut [Flags],
-    ) {
-        let mut ctx = self.ctx.clone();
-        let mut regs = self.fresh_regs();
-        for (i, (out_v, out_f)) in out.iter_mut().zip(flags_out.iter_mut()).enumerate() {
-            let lane = start + i;
-            ctx.clear_flags();
-            self.run_instrs(&mut ctx, &mut regs, |var| {
-                batch.column(VarId::from_index(var as usize))[lane]
-            });
-            *out_v = regs[self.tape.root_reg() as usize].clone();
-            let mut f = ctx.flags();
-            f.merge(self.const_flags);
-            *out_f = f;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use problp_bayes::networks;
-    use problp_num::{F64Arith, FixedArith, FixedFormat};
+    use problp_num::{F64Arith, FixedArith, FixedFormat, FloatArith, FloatFormat};
 
     fn sprinkler_engine() -> (problp_bayes::BayesNet, Engine<F64Arith>) {
         let net = networks::sprinkler();
@@ -736,22 +689,54 @@ mod tests {
         }
     }
 
+    /// Every register row of the fused full-values sweep holds the value
+    /// the single-instance reference sweep leaves in that register — the
+    /// premise of reading the MPE traceback from the batch sweep.
+    fn fused_rows_match_evaluate_nodes_one<A>(ac: &AcGraph, ctx: A, evidences: &[Evidence])
+    where
+        A: KernelSet + Clone + Send + Sync,
+        A::Value: Clone + Send + Sync,
+    {
+        let batch = EvidenceBatch::from_evidences(ac.var_count(), evidences).unwrap();
+        for semiring in [
+            Semiring::SumProduct,
+            Semiring::MaxProduct,
+            Semiring::MinProduct,
+        ] {
+            let engine = Engine::from_graph_full(ac, semiring, ctx.clone())
+                .unwrap()
+                .with_chunk(16);
+            assert_eq!(engine.kernel(), KernelKind::Fused);
+            let bits = |regs: &[A::Value]| -> Vec<u64> {
+                regs.iter()
+                    .map(|v| engine.ctx.to_f64(v).to_bits())
+                    .collect()
+            };
+            let num_regs = engine.tape.num_regs() as u32;
+            let mut rows = vec![Vec::new(); evidences.len()];
+            engine
+                .sweep_batch(&batch, &mut rows, |regs, _| {
+                    (0..num_regs).map(|r| regs.get(r).clone()).collect()
+                })
+                .unwrap();
+            for (lane, e) in evidences.iter().enumerate() {
+                let (want, _) = engine.evaluate_nodes_one(e).unwrap();
+                assert_eq!(bits(&rows[lane]), bits(&want), "{semiring:?} lane {lane}");
+            }
+        }
+    }
+
     #[test]
-    fn flagged_evaluation_reports_per_lane_flags() {
-        let net = networks::sprinkler();
+    fn fused_full_register_rows_match_the_reference_sweep() {
+        let net = networks::alarm(7);
         let ac = problp_ac::compile(&net).unwrap();
-        // A deliberately tiny format: conversions are inexact.
-        let format = FixedFormat::new(1, 4).unwrap();
-        let engine =
-            Engine::from_graph(&ac, Semiring::SumProduct, FixedArith::new(format)).unwrap();
-        let batch =
-            EvidenceBatch::from_evidences(net.var_count(), &single_var_evidences(&net)).unwrap();
-        let flagged = engine.evaluate_batch_flagged(&batch).unwrap();
-        assert_eq!(flagged.lane_flags.len(), batch.lanes());
-        assert!(flagged.flags.inexact, "4 fraction bits cannot be exact");
-        // Aggregate equals the OR of the lanes.
-        let agg = engine.evaluate_batch(&batch).unwrap();
-        assert_eq!(agg.flags, flagged.flags);
+        let evidences: Vec<Evidence> = single_var_evidences(&net).into_iter().take(40).collect();
+        assert_eq!(evidences.len(), 40);
+        fused_rows_match_evaluate_nodes_one(&ac, F64Arith::new(), &evidences);
+        let fixed = FixedArith::new(FixedFormat::new(1, 10).unwrap());
+        fused_rows_match_evaluate_nodes_one(&ac, fixed, &evidences);
+        let float = FloatArith::new(FloatFormat::new(8, 13).unwrap());
+        fused_rows_match_evaluate_nodes_one(&ac, float, &evidences);
     }
 
     #[test]

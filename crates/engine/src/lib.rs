@@ -21,15 +21,16 @@
 //!    values live in a structure-of-arrays register file laid out
 //!    `[register][lane]`, lanes are sharded across `std::thread`
 //!    workers, and sticky [`problp_num::Flags`] are captured per batch
-//!    ([`Engine::evaluate_batch`]) or per lane
-//!    ([`Engine::evaluate_batch_flagged`]).
+//!    ([`Engine::evaluate_batch`]). This is the engine's one batch
+//!    sweep: every batch query runs through it.
 //!
 //! 3. Beyond marginals, the engine serves the paper's other two query
 //!    kinds in bulk ([`query`], dispatched by [`Engine::evaluate_query`]
 //!    on a [`problp_bayes::BatchQuery`] descriptor): **MPE** decoding
 //!    via max-product argmax traceback on a *full-values* tape
 //!    ([`Tape::compile_full`]: no register reuse, one stable slot per
-//!    node) with exact verification, and **conditional** posteriors as
+//!    node), read from the batch sweep's register rows under the
+//!    engine's kernel, with exact verification, and **conditional** posteriors as
 //!    joint/marginal lane pairs. The full-values mode also gives the
 //!    max/min value analyses of `problp-bounds` per-node vectors that
 //!    are bit-identical to the scalar walk.
@@ -91,7 +92,7 @@ pub mod serve;
 pub mod tape;
 pub mod verify;
 
-pub use engine::{BatchResult, Engine, FlaggedBatchResult};
+pub use engine::{BatchResult, Engine};
 pub use error::EngineError;
 pub use fuse::{BinOp, FuseStats, FusedInstr, FusedTape};
 pub use kernels::{KernelKind, KernelSet, LANE_WIDTH};

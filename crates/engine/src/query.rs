@@ -4,12 +4,14 @@
 //!
 //! A max-product sweep yields the MPE *value* `max_x Pr(x, e)` in one
 //! pass (paper §3.2.1); [`Engine::mpe_batch`] also recovers the
-//! maximizing *assignment* per lane. It runs each lane through the
-//! full-values tape (every node keeps a stable register), then walks the
-//! tape backwards from the root: product chains descend into all
-//! operands, max chains descend into the first operand whose value
-//! equals the chain's result, and the indicator leaves reached on the
-//! way name the chosen states. The decoded assignment is then
+//! maximizing *assignment* per lane. Its first phase is the engine's
+//! one batch sweep, under the engine's kernel, on the full-values tape
+//! (every node keeps a stable register). Each lane then walks the tape
+//! backwards from the root, reading the registers it visits straight
+//! from the sweep's `[register][lane]` rows: product chains descend
+//! into all operands, max chains descend into the first operand whose
+//! value equals the chain's result, and the indicator leaves reached on
+//! the way name the chosen states. The decoded assignment is then
 //! *verified*: all candidate lanes are re-evaluated fully observed in
 //! one batched sweep, and any lane whose joint value does not reproduce
 //! its max-product root value bit for bit (possible only on circuits
@@ -31,7 +33,7 @@ use problp_ac::Semiring;
 use problp_bayes::{BatchQuery, Evidence, EvidenceBatch, VarId};
 use problp_num::Flags;
 
-use crate::engine::{BatchResult, Engine};
+use crate::engine::{BatchResult, Engine, LaneRegs};
 use crate::error::EngineError;
 use crate::kernels::KernelSet;
 use crate::tape::{Instr, Tape, TapeMode};
@@ -123,6 +125,10 @@ enum TraceOp {
     Prod(Vec<u32>),
     /// A max chain over these operand registers.
     Choice(Vec<u32>),
+    /// A chain continuation with no chain head: the register's producer
+    /// is unknown, so a lane whose walk reaches it decodes exactly
+    /// instead.
+    Untraceable,
 }
 
 /// Reconstructs per-register trace ops from a full-values instruction
@@ -135,7 +141,7 @@ fn trace_table(tape: &Tape) -> Vec<TraceOp> {
         if lhs == dst {
             match &mut ops[dst as usize] {
                 TraceOp::Prod(c) | TraceOp::Choice(c) => c.push(rhs),
-                _ => unreachable!("chain continuation follows a chain head"),
+                op => *op = TraceOp::Untraceable,
             }
         } else {
             ops[dst as usize] = if prod {
@@ -160,14 +166,15 @@ fn trace_table(tape: &Tape) -> Vec<TraceOp> {
 }
 
 /// Walks the chosen subcircuit from the root, collecting the indicator
-/// states it commits to. Returns `None` when the walk does not determine
-/// a complete, evidence-consistent assignment (conflicting or missing
-/// indicators), in which case the caller falls back to exact sequential
-/// conditioning.
+/// states it commits to; `value_bits(r)` is the `f64` bit pattern of
+/// the lane's register `r`. Returns `None` when the walk does not
+/// determine a complete, evidence-consistent assignment (conflicting or
+/// missing indicators, or an untraceable register), in which case the
+/// caller falls back to exact sequential conditioning.
 fn traceback(
     ops: &[TraceOp],
     tape: &Tape,
-    values: &[f64],
+    value_bits: impl Fn(u32) -> u64,
     observed: impl Fn(usize) -> i32,
 ) -> Option<Vec<usize>> {
     let mut chosen: Vec<Option<usize>> = vec![None; tape.var_count()];
@@ -175,6 +182,7 @@ fn traceback(
     while let Some(r) = stack.pop() {
         match &ops[r as usize] {
             TraceOp::Const => {}
+            TraceOp::Untraceable => return None,
             TraceOp::Indicator(slot) => {
                 let (var, state) = tape.slot(*slot);
                 let (var, state) = (var as usize, state as usize);
@@ -188,10 +196,8 @@ fn traceback(
                 // Any operand achieving the chain's value witnesses the
                 // max; verification catches the (non-smooth) cases where
                 // the witness does not extend to a global assignment.
-                let target = values[r as usize].to_bits();
-                let pick = children
-                    .iter()
-                    .find(|&&c| values[c as usize].to_bits() == target)?;
+                let target = value_bits(r);
+                let pick = children.iter().find(|&&c| value_bits(c) == target)?;
                 stack.push(*pick);
             }
         }
@@ -269,62 +275,21 @@ where
         }
         self.check_batch(batch)?;
         let lanes = batch.lanes();
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-        let mut values: Vec<A::Value> = vec![self.zero.clone(); lanes];
-        let mut decoded: Vec<bool> = vec![false; lanes];
-        let mut flags = self.const_flags;
-        if lanes == 0 {
-            return Ok(MpeBatchResult {
-                assignments,
-                values,
-                flags,
-            });
-        }
 
-        // Phase 1 (sharded): per-lane full sweep + traceback.
+        // Phase 1: the batched full sweep, then each lane's traceback
+        // over its own register rows.
         let ops = trace_table(&self.tape);
-        let per = lanes.div_ceil(self.shard_count(lanes));
-        let shard_flags = std::thread::scope(|scope| {
-            let work = values
-                .chunks_mut(per)
-                .zip(assignments.chunks_mut(per))
-                .zip(decoded.chunks_mut(per))
-                .enumerate();
-            let handles: Vec<_> = work
-                .map(|(shard, ((vals, asgs), dones))| {
-                    let ops = &ops;
-                    scope.spawn(move || {
-                        let mut ctx = self.ctx.clone();
-                        ctx.clear_flags();
-                        let mut regs = self.fresh_regs();
-                        let mut f64s = vec![0.0f64; regs.len()];
-                        let lane_iter = vals.iter_mut().zip(asgs.iter_mut()).zip(dones.iter_mut());
-                        for (i, ((out_v, out_a), out_d)) in lane_iter.enumerate() {
-                            let lane = shard * per + i;
-                            self.run_instrs(&mut ctx, &mut regs, |var| {
-                                batch.column(VarId::from_index(var as usize))[lane]
-                            });
-                            *out_v = regs[self.tape.root_reg() as usize].clone();
-                            for (d, r) in f64s.iter_mut().zip(&regs) {
-                                *d = ctx.to_f64(r);
-                            }
-                            let observed = |var: usize| batch.column(VarId::from_index(var))[lane];
-                            if let Some(a) = traceback(ops, &self.tape, &f64s, observed) {
-                                *out_a = a;
-                                *out_d = true;
-                            }
-                        }
-                        ctx.flags()
-                    })
-                })
-                .collect();
-            // Join every handle before leaving the scope so one panicking
-            // shard cannot re-panic the scope exit.
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        });
-        for f in crate::error::collect_worker_results(shard_flags)? {
-            flags.merge(f);
-        }
+        let root = self.tape.root_reg();
+        let trace = |regs: LaneRegs<'_, A::Value>, lane: usize| {
+            let value_bits = |r: u32| self.ctx.to_f64(regs.get(r)).to_bits();
+            let observed = |var: usize| batch.column(VarId::from_index(var))[lane];
+            let decoded = traceback(&ops, &self.tape, value_bits, observed);
+            (regs.get(root).clone(), decoded)
+        };
+        let mut swept = vec![(self.zero.clone(), None); lanes];
+        let mut flags = self.sweep_batch(batch, &mut swept, trace)?;
+        let (values, mut decoded): (Vec<A::Value>, Vec<Option<Vec<usize>>>) =
+            swept.into_iter().unzip();
 
         // Phase 2: verify every traceback candidate in one shared batched
         // sweep — the fully observed assignment must reproduce the lane's
@@ -332,10 +297,10 @@ where
         let var_count = self.tape.var_count();
         let mut candidates = EvidenceBatch::new(var_count);
         let mut candidate_lanes = Vec::new();
-        for lane in 0..lanes {
-            if decoded[lane] {
+        for (lane, assignment) in decoded.iter().enumerate() {
+            if let Some(assignment) = assignment {
                 let mut e = Evidence::empty(var_count);
-                for (v, &s) in assignments[lane].iter().enumerate() {
+                for (v, &s) in assignment.iter().enumerate() {
                     e.observe(VarId::from_index(v), s);
                 }
                 candidates.push(&e);
@@ -348,7 +313,7 @@ where
                 let joint = self.ctx.to_f64(&check.values[k]);
                 let root = self.ctx.to_f64(&values[lane]);
                 if joint.to_bits() != root.to_bits() {
-                    decoded[lane] = false;
+                    decoded[lane] = None;
                 }
             }
         }
@@ -356,12 +321,17 @@ where
         // Phase 3: exact sequential-conditioning fallback for the lanes
         // the traceback could not decode (the root value stays the
         // authoritative phase-1 sweep result).
-        for lane in 0..lanes {
-            if !decoded[lane] {
-                let (assignment, f) = self.mpe_sequential(&batch.evidence(lane))?;
-                assignments[lane] = assignment;
-                flags.merge(f);
-            }
+        let mut assignments = Vec::with_capacity(lanes);
+        for (lane, assignment) in decoded.into_iter().enumerate() {
+            let assignment = match assignment {
+                Some(assignment) => assignment,
+                None => {
+                    let (assignment, f) = self.mpe_sequential(&batch.evidence(lane))?;
+                    flags.merge(f);
+                    assignment
+                }
+            };
+            assignments.push(assignment);
         }
         Ok(MpeBatchResult {
             assignments,
@@ -378,9 +348,11 @@ where
         let mut fixed = evidence.clone();
         let mut flags = Flags::new();
         let arities = self.tape.var_arities();
+        let mut assignment = Vec::with_capacity(arities.len());
         for (v, &arity) in arities.iter().enumerate() {
             let var = VarId::from_index(v);
-            if fixed.state(var).is_some() {
+            if let Some(s) = fixed.state(var) {
+                assignment.push(s);
                 continue;
             }
             let mut best_state = 0usize;
@@ -396,10 +368,8 @@ where
                 }
             }
             fixed.observe(var, best_state);
+            assignment.push(best_state);
         }
-        let assignment = (0..arities.len())
-            .map(|v| fixed.state(VarId::from_index(v)).expect("all fixed"))
-            .collect();
         Ok((assignment, flags))
     }
 
@@ -597,6 +567,38 @@ mod tests {
                 engine.ctx.to_f64(&mpe.values[lane]).to_bits(),
                 "lane {lane}"
             );
+        }
+    }
+
+    /// A chain continuation without a chain head (a tape edited after
+    /// compilation) is untraceable: the lanes whose walk reaches it
+    /// decode by sequential conditioning instead of panicking.
+    #[test]
+    fn headless_chain_continuations_fall_back_to_exact_decoding() {
+        let net = networks::sprinkler();
+        let ac = compile(&net).unwrap();
+        // Scalar: debug builds refuse to fuse an ill-formed tape.
+        let mut engine = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new())
+            .unwrap()
+            .with_kernel(crate::KernelKind::Scalar);
+        let root = engine.tape().root_reg();
+        let instrs = engine.raw_tape_mut().raw_instrs_mut();
+        let head = instrs
+            .iter()
+            .position(|i| matches!(*i, Instr::Max { dst, lhs, .. } if dst == root && lhs != root))
+            .unwrap();
+        if let Instr::Max { dst, rhs, .. } = instrs[head] {
+            instrs[head] = Instr::Max { dst, lhs: dst, rhs };
+        }
+        let ops = trace_table(engine.tape());
+        assert!(matches!(ops[root as usize], TraceOp::Untraceable));
+
+        let evidences = single_and_empty_evidences(&net);
+        let batch = EvidenceBatch::from_evidences(net.var_count(), &evidences).unwrap();
+        let mpe = engine.mpe_batch(&batch).unwrap();
+        for (lane, e) in evidences.iter().enumerate() {
+            let (want, _) = engine.mpe_sequential(e).unwrap();
+            assert_eq!(mpe.assignments[lane], want, "lane {lane}");
         }
     }
 

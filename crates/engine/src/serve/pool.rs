@@ -56,7 +56,6 @@ pub(crate) struct Tenant<A: Arith> {
 /// work already queued against the previous version.
 pub struct CircuitPool<A: Arith> {
     ctx: A,
-    kernel: KernelKind,
     tenants: RwLock<HashMap<String, Arc<Tenant<A>>>>,
 }
 
@@ -67,39 +66,18 @@ where
 {
     /// Creates an empty pool evaluating in `ctx`'s number system.
     ///
-    /// The pool pins [`KernelKind::Scalar`] on purpose, unlike the
+    /// Every hosted engine runs [`KernelKind::Scalar`], unlike the
     /// [`Engine`] default. Serving groups are small, so the fused kernel
-    /// moves no median latency, while its set-up cost lands on every
-    /// register and reload: per Alarm tape on a shared 2-vCPU host,
-    /// `Tape::fuse` takes about 0.22 ms and `Tape::verify_fused` about
-    /// 0.69 ms, against 0.03 ms for `Tape::verify`, and serving set-up
-    /// rose from 1.8–2.7 ms to 5.6–6.7 ms with fused engines. Opt in with
-    /// [`CircuitPool::with_kernel`].
+    /// moves no median latency, while its set-up cost would land on
+    /// every register and reload: per Alarm tape on a shared 2-vCPU
+    /// host, `Tape::fuse` takes about 0.22 ms and `Tape::verify_fused`
+    /// about 0.69 ms, against 0.03 ms for `Tape::verify`, and serving
+    /// set-up rose from 1.8–2.7 ms to 5.6–6.7 ms with fused engines.
     pub fn new(ctx: A) -> Self {
         CircuitPool {
             ctx,
-            kernel: KernelKind::Scalar,
             tenants: RwLock::new(HashMap::new()),
         }
-    }
-
-    /// Selects the evaluator core ([`crate::KernelKind`]) of every engine
-    /// registered *after* this call; the default is
-    /// [`KernelKind::Scalar`] (see [`CircuitPool::new`] for why).
-    /// Coalesced answers stay pinned bit-identical to
-    /// [`CircuitPool::serve_one`] under both kernels — both paths
-    /// evaluate through the same tenant engines — and the
-    /// `tests/serve.rs` proptest sweep exercises the whole matrix. Under
-    /// [`KernelKind::Fused`], registration fuses and verifies each
-    /// stream up front.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The evaluator core newly registered engines will run.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// The arithmetic context every hosted engine evaluates in — the
@@ -110,7 +88,7 @@ where
     }
 
     /// Compiles both serving engines for `ac` under the pool's context
-    /// and kernel — the shared build step of [`register`] and
+    /// on the scalar kernel — the shared build step of [`register`] and
     /// [`reload`].
     ///
     /// [`register`]: CircuitPool::register
@@ -118,10 +96,10 @@ where
     fn compile_engines(&self, ac: &AcGraph) -> Result<(Engine<A>, Engine<A>), EngineError> {
         let sum = Engine::from_graph(ac, Semiring::SumProduct, self.ctx.clone())?
             .with_threads(ENGINE_THREADS)
-            .with_kernel(self.kernel);
+            .with_kernel(KernelKind::Scalar);
         let mpe = Engine::from_graph_full(ac, Semiring::MaxProduct, self.ctx.clone())?
             .with_threads(ENGINE_THREADS)
-            .with_kernel(self.kernel);
+            .with_kernel(KernelKind::Scalar);
         Ok((sum, mpe))
     }
 
@@ -130,11 +108,11 @@ where
     /// bumps its [`ModelVersion`].
     ///
     /// Admission runs the static tape verifier ([`crate::Tape::verify`],
-    /// and [`crate::Tape::verify_fused`] under the fused kernel) over
-    /// both engines in **every** build — release included, where
-    /// compilation itself skips the debug-only auto-check — so a tape
-    /// that lost its dataflow guarantees anywhere between compilation
-    /// and serving never joins the pool.
+    /// and [`crate::Tape::verify_fused`] on an engine handed in on the
+    /// fused kernel) over both engines in **every** build — release
+    /// included, where compilation itself skips the debug-only
+    /// auto-check — so a tape that lost its dataflow guarantees
+    /// anywhere between compilation and serving never joins the pool.
     ///
     /// # Errors
     ///

@@ -208,7 +208,7 @@ impl Tape {
     /// otherwise invalid.
     pub fn compile(ac: &AcGraph, semiring: Semiring) -> Result<Self, EngineError> {
         let (opt, _) = optimize(ac)?;
-        let root = opt.root().expect("optimize always sets a root");
+        let root = opt.root().ok_or(AcError::MissingRoot)?;
         let nodes = opt.nodes();
 
         // Liveness: the arena index of each node's last consumer. The root

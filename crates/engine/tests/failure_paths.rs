@@ -126,28 +126,15 @@ fn serve_one_surfaces_worker_panics_as_errors() {
 }
 
 #[test]
-fn evaluate_batch_flagged_surfaces_worker_panics_as_errors() {
-    let net = networks::sprinkler();
-    let ac = compile(&net).unwrap();
-    let engine = Engine::from_graph(&ac, Semiring::SumProduct, PanicArith)
-        .unwrap()
-        .with_threads(2);
-    let batch = wide_batch(&net, 64);
-    assert!(matches!(
-        engine.evaluate_batch_flagged(&batch),
-        Err(EngineError::WorkerPanic { .. })
-    ));
-}
-
-#[test]
 fn mpe_batch_surfaces_worker_panics_as_errors() {
     let net = networks::sprinkler();
     let ac = compile(&net).unwrap();
     let engine = Engine::from_graph_full(&ac, Semiring::MaxProduct, PanicArith)
         .unwrap()
         .with_threads(2);
-    // mpe_batch always dispatches its phase-1 sweeps to scoped workers,
-    // so even a single lane exercises the join path.
+    // One lane is one shard: phase 1 runs on the inline
+    // `catch_unwind` path, which must surface the panic just as the
+    // scoped-worker join path does.
     let batch = wide_batch(&net, 1);
     match engine.mpe_batch(&batch) {
         Err(EngineError::WorkerPanic { message }) => {
@@ -197,8 +184,6 @@ fn empty_batches_return_cleanly_on_every_entry_point() {
     let sum = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
     let r = sum.evaluate_batch(&empty).unwrap();
     assert!(r.values.is_empty());
-    let r = sum.evaluate_batch_flagged(&empty).unwrap();
-    assert!(r.values.is_empty() && r.lane_flags.is_empty());
     let c = sum.conditional_batch(&empty, VarId::from_index(0)).unwrap();
     assert!(c.marginals.is_empty() && c.posteriors.is_empty() && c.lane_status.is_empty());
     assert_eq!(c.joints.len(), 2, "one (empty) joint batch per state");
@@ -225,11 +210,6 @@ fn zero_threads_means_all_cores_and_never_divides_by_zero() {
     // And the empty-batch × zero-threads corner.
     let empty = EvidenceBatch::new(net.var_count());
     assert!(zero.evaluate_batch(&empty).unwrap().values.is_empty());
-    assert!(zero
-        .evaluate_batch_flagged(&empty)
-        .unwrap()
-        .values
-        .is_empty());
 
     let mpe_zero = Engine::from_graph_full(&ac, Semiring::MaxProduct, F64Arith::new())
         .unwrap()

@@ -12,7 +12,7 @@ use proptest::test_runner::TestCaseError;
 use problp_ac::{compile, transform::binarize, Semiring};
 use problp_bayes::{networks, Evidence, EvidenceBatch, VarId};
 use problp_engine::{Engine, FusedInstr, FusedTape, KernelKind, KernelSet, Tape, LANE_WIDTH};
-use problp_num::{F64Arith, FixedArith, FixedFormat, Flags, FloatArith, FloatFormat};
+use problp_num::{F64Arith, FixedArith, FixedFormat, FloatArith, FloatFormat};
 
 const SEMIRINGS: [Semiring; 3] = [
     Semiring::SumProduct,
@@ -249,13 +249,6 @@ fn remainder_lanes_match_scalar_values_and_flags() {
             // Fixed point: inexact is sticky per lane.
             let tape = Tape::compile(&ac, semiring).unwrap();
             default_matches_scalar(&tape, FixedArith::new(format), &batch).unwrap();
-            let flagged = Engine::new(tape, FixedArith::new(format))
-                .evaluate_batch_flagged(&batch)
-                .unwrap();
-            // The aggregate is the OR of the per-lane flags.
-            let mut merged = Flags::new();
-            flagged.lane_flags.iter().for_each(|f| merged.merge(*f));
-            assert_eq!(merged, flagged.flags, "{semiring:?}");
         }
     }
     // The low-precision format actually exercises the sticky path: at
@@ -287,8 +280,8 @@ fn fusion_finds_superinstructions_on_alarm() {
 }
 
 /// The fused stream is built on the first fused batch sweep, never by
-/// the single-instance or per-lane-flag paths, which run the reference
-/// instruction stream.
+/// the single-instance paths, which run the reference instruction
+/// stream.
 #[test]
 fn only_fused_batch_sweeps_build_the_fused_stream() {
     let net = networks::asia();
@@ -297,7 +290,6 @@ fn only_fused_batch_sweeps_build_the_fused_stream() {
     let evidence = batch.evidence(1);
     let engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
     engine.evaluate_one(&evidence).unwrap();
-    engine.evaluate_batch_flagged(&batch).unwrap();
     assert!(!engine.has_fused_tape());
     let full = Engine::from_graph_full(&ac, Semiring::SumProduct, F64Arith::new()).unwrap();
     full.evaluate_nodes_one(&evidence).unwrap();
@@ -312,9 +304,9 @@ fn only_fused_batch_sweeps_build_the_fused_stream() {
     assert!(!scalar.has_fused_tape());
 }
 
-/// MPE and conditional serving agree across kernels: the scalar
-/// traceback is the oracle, and the kernel only touches the batched
-/// value sweeps feeding it.
+/// MPE and conditional serving agree across kernels: the scalar-kernel
+/// decode is the oracle for the fused one, whose traceback reads the
+/// fused sweep's register rows.
 #[test]
 fn queries_agree_across_kernels() {
     let net = networks::asia();
@@ -355,4 +347,68 @@ fn queries_agree_across_kernels() {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+}
+
+/// Checks `mpe_batch` over Alarm in one arithmetic: every thread count,
+/// lane-block size and kernel yields the assignments, value bits and
+/// flags of the single-threaded, one-lane-block scalar run, whose value
+/// bits are returned for further checks.
+fn mpe_is_independent_of_sharding_and_kernel<A>(
+    ac: &problp_ac::AcGraph,
+    ctx: A,
+    batch: &EvidenceBatch,
+) -> Vec<u64>
+where
+    A: KernelSet + Clone + Send + Sync,
+    A::Value: Clone + Send + Sync,
+{
+    let engine = Engine::from_graph_full(ac, Semiring::MaxProduct, ctx).unwrap();
+    let run = |kernel: KernelKind, threads: usize, chunk: usize| {
+        let e = engine
+            .clone()
+            .with_kernel(kernel)
+            .with_threads(threads)
+            .with_chunk(chunk);
+        let mpe = e.mpe_batch(batch).unwrap();
+        let bits: Vec<u64> = mpe
+            .values
+            .iter()
+            .map(|v| e.context().to_f64(v).to_bits())
+            .collect();
+        (mpe.assignments, bits, mpe.flags)
+    };
+    let reference = run(KernelKind::Scalar, 1, 1);
+    for kernel in KernelKind::ALL {
+        for threads in [1, 2, 3] {
+            for chunk in [1, 7, 64] {
+                let got = run(kernel, threads, chunk);
+                assert!(
+                    got == reference,
+                    "{kernel:?} threads={threads} chunk={chunk}"
+                );
+            }
+        }
+    }
+    reference.1
+}
+
+/// MPE decoding reads its traceback from the batch sweep's register
+/// rows, so sharding, lane blocking and the kernel must not move a
+/// single assignment, value bit or flag, in `f64`, `fixed:1.10` and
+/// `float:8.13`. In `f64` the values also equal the scalar decoder's.
+#[test]
+fn mpe_batch_is_independent_of_threads_chunks_and_kernel() {
+    let net = networks::alarm(7);
+    let ac = compile(&net).unwrap();
+    // 70 lanes: enough for three shards of at least 32 lanes' worth.
+    let batch = varied_batch(&net, 70);
+    let bits = mpe_is_independent_of_sharding_and_kernel(&ac, F64Arith::new(), &batch);
+    for (lane, got) in bits.iter().enumerate() {
+        let (_, oracle) = ac.mpe_assignment(&batch.evidence(lane)).unwrap();
+        assert_eq!(*got, oracle.to_bits(), "lane {lane}");
+    }
+    let fixed = FixedArith::new(FixedFormat::new(1, 10).unwrap());
+    mpe_is_independent_of_sharding_and_kernel(&ac, fixed, &batch);
+    let float = FloatArith::new(FloatFormat::new(8, 13).unwrap());
+    mpe_is_independent_of_sharding_and_kernel(&ac, float, &batch);
 }

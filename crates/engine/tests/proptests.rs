@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use problp_ac::{compile, transform::binarize, Semiring};
 use problp_bayes::{networks, Evidence, EvidenceBatch, VarId};
-use problp_engine::{Engine, Tape};
+use problp_engine::Engine;
 use problp_num::{Arith, F64Arith, FixedArith, FixedFormat, FloatArith, FloatFormat};
 
 /// A random network's seed plus per-variable observation picks.
@@ -305,28 +305,4 @@ fn engine_eval_one(
 ) -> (f64, problp_num::Flags) {
     let engine = Engine::from_graph(ac, Semiring::SumProduct, F64Arith::new()).unwrap();
     engine.evaluate_one(&batch.evidence(lane)).unwrap()
-}
-
-/// Batch results also agree with `measure`-style per-lane flag capture.
-#[test]
-fn flagged_and_plain_batches_agree() {
-    let net = networks::alarm(7);
-    let ac = compile(&net).unwrap();
-    let tape = Tape::compile(&ac, Semiring::SumProduct).unwrap();
-    let format = FixedFormat::new(1, 12).unwrap();
-    let engine = Engine::new(tape, FixedArith::new(format));
-    let mut batch = EvidenceBatch::new(net.var_count());
-    for v in 0..net.var_count() {
-        let mut e = Evidence::empty(net.var_count());
-        e.observe(VarId::from_index(v), 0);
-        batch.push(&e);
-    }
-    let plain = engine.evaluate_batch(&batch).unwrap();
-    let flagged = engine.evaluate_batch_flagged(&batch).unwrap();
-    assert_eq!(plain.values.len(), flagged.values.len());
-    for (a, b) in plain.values.iter().zip(&flagged.values) {
-        assert_eq!(a, b);
-    }
-    assert_eq!(plain.flags, flagged.flags);
-    assert_eq!(flagged.lane_flags.len(), batch.lanes());
 }

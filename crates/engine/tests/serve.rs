@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use problp_ac::compile;
 use problp_bayes::{networks, BatchQuery, Evidence, VarId};
 use problp_engine::{
-    lane_answer_eq, CircuitPool, KernelKind, KernelSet, Priority, ServeConfig, ServeError,
-    ServeRequest, ServeResponse, Server,
+    lane_answer_eq, CircuitPool, KernelSet, Priority, ServeConfig, ServeError, ServeRequest,
+    ServeResponse, Server,
 };
 use problp_num::{F64Arith, FixedArith, FixedFormat};
 
@@ -39,8 +39,8 @@ fn evidence_from_picks(net: &problp_bayes::BayesNet, picks: &[usize]) -> Evidenc
 type TracePick = (usize, usize, usize, Vec<usize>);
 
 /// The full policy surface the scheduler can be configured with:
-/// batching, sharding, quotas, aging, the adaptive wait, and which
-/// evaluator kernel the pool's engines dispatch to.
+/// batching, sharding, quotas, aging, the adaptive wait and the answer
+/// cache.
 #[derive(Clone, Copy, Debug)]
 struct PolicyPick {
     max_batch: usize,
@@ -54,10 +54,6 @@ struct PolicyPick {
     /// capacity larger than any trace are both generated. Cache hits
     /// must be indistinguishable from re-evaluation, bit for bit.
     cache_capacity: usize,
-    /// Evaluator kernel for the pool's engines. The coalescing
-    /// invariant must hold under every kernel (and `tests/kernels.rs`
-    /// pins each kernel to the scalar walk, closing the loop).
-    kernel: KernelKind,
 }
 
 /// The two fixed tenants plus per-request picks, under an arbitrary
@@ -83,18 +79,16 @@ fn trace_strategy() -> impl Strategy<Value = (Vec<TracePick>, PolicyPick)> {
             (
                 any::<bool>(), // adaptive max_wait
                 0usize..3,     // cache pick: off | churning | ample
-                0usize..2,     // kernel pick: scalar | fused
             ),
         )
             .prop_map(
-                |((max_batch, workers, quota, aging), (adaptive_wait, cache, kernel))| PolicyPick {
+                |((max_batch, workers, quota, aging), (adaptive_wait, cache))| PolicyPick {
                     max_batch,
                     workers,
                     tenant_quota: quota * 5,
                     aging_us: [200, 2_000, 50_000][aging as usize],
                     adaptive_wait,
                     cache_capacity: [0, 3, 256][cache],
-                    kernel: KernelKind::ALL[kernel],
                 },
             ),
     )
@@ -113,7 +107,7 @@ where
         ("sprinkler", networks::sprinkler()),
         ("asia", networks::asia()),
     ];
-    let mut pool = CircuitPool::new(ctx).with_kernel(policy.kernel);
+    let mut pool = CircuitPool::new(ctx);
     for (name, net) in &tenants {
         pool.register(name, &compile(net).unwrap()).unwrap();
     }

@@ -121,8 +121,8 @@ pub mod metric_names {
     pub const ENGINE_FUSED_INSTRS_TOTAL: &str = "problp_engine_fused_instrs_total";
     /// Counter, label `kernel` ∈ {`scalar`, `fused`}: dispatched groups
     /// by the evaluator core that served them — the live mix of kernel
-    /// dispatch across the pool. `CircuitPool::new` pools stay on
-    /// `scalar` unless `CircuitPool::with_kernel` says otherwise.
+    /// dispatch across the pool. `CircuitPool` engines always run
+    /// `scalar`, so only the `scalar` series moves in a served pool.
     pub const ENGINE_KERNEL_DISPATCHES_TOTAL: &str = "problp_engine_kernel_dispatches_total";
     /// Counter, label `flag` ∈ {`overflow`, `underflow`, `inexact`,
     /// `invalid`}: groups whose evaluation raised the sticky flag.

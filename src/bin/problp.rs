@@ -108,8 +108,9 @@
 //! outcome.
 //!
 //! `lint-src` enforces the serving-path panic policy: no `.unwrap()` /
-//! `.expect(` in the non-test code of the `crates/engine/src/serve/`
-//! modules and `crates/telemetry/src` (scanning stops at the first
+//! `.expect(` in the non-test code of the engine core
+//! (`crates/engine/src`), the `crates/engine/src/serve/` modules and
+//! `crates/telemetry/src` (scanning stops at the first
 //! `#[cfg(test)]` line of each file). Exceptions live in
 //! `ci/lint-allow.txt` as `file-suffix: line-substring` entries. Run it
 //! from the repository root; non-zero exit on any violation.
@@ -1686,10 +1687,16 @@ fn verify_tapes(o: &Opts) -> Result<bool, Box<dyn Error>> {
     Ok(clean)
 }
 
-/// The files `lint-src` scans: the whole serving module tree plus the
-/// whole telemetry crate — the code that runs inside long-lived
-/// servers, where a stray panic takes the process down.
-const LINT_SCOPE_DIRS: [&str; 2] = ["crates/engine/src/serve", "crates/telemetry/src"];
+/// The directories `lint-src` scans (their `.rs` files, not
+/// subdirectories): the engine core every request runs, the serving
+/// module tree and the whole telemetry crate — the code that runs
+/// inside long-lived servers, where a stray panic takes the process
+/// down.
+const LINT_SCOPE_DIRS: [&str; 3] = [
+    "crates/engine/src",
+    "crates/engine/src/serve",
+    "crates/telemetry/src",
+];
 
 /// Enforces the serving-path panic policy: no `.unwrap()` / `.expect(`
 /// outside test code in the lint scope. Allowlist entries are
