@@ -439,7 +439,7 @@ pub fn kernels_bench_record(study: &crate::KernelStudy) -> BenchRecord {
         .iter()
         .map(|r| {
             JsonValue::Object(vec![
-                ("arith".to_string(), JsonValue::from(r.arith)),
+                ("arith".to_string(), JsonValue::from(r.arith.as_str())),
                 ("scalar_eps".to_string(), JsonValue::from(r.scalar_eps)),
                 ("fused_eps".to_string(), JsonValue::from(r.fused_eps)),
                 (
@@ -565,7 +565,7 @@ mod tests {
         assert!(doc
             .get("rows")
             .and_then(JsonValue::as_array)
-            .is_some_and(|r| r.len() == 2));
+            .is_some_and(|r| r.len() == crate::KERNEL_STUDY_ARITHS.len()));
 
         // Every required kernels extra is enforced: renaming any one
         // top-level key or row field fails validation, naming the key.

@@ -557,8 +557,8 @@ pub struct AccuracyStudy {
 pub fn accuracy_study(bench: &Benchmark, frac_bits: &[u32], mant_bits: &[u32]) -> AccuracyStudy {
     use problp_ac::Semiring;
     use problp_bayes::EvidenceBatch;
-    use problp_engine::{Engine, KernelSet, Tape};
-    use problp_num::{F64Arith, FixedArith, FloatArith};
+    use problp_engine::{visit_arith, ArithVisitor, Engine, KernelSet, Tape};
+    use problp_num::{ArithSpec, F64Arith};
 
     let ds = bench
         .test_dataset
@@ -588,20 +588,37 @@ pub fn accuracy_study(bench: &Benchmark, frac_bits: &[u32], mant_bits: &[u32]) -
             / labels.len() as f64
     };
 
-    fn serve<A>(
-        tape: &Tape,
-        batch: &problp_bayes::EvidenceBatch,
+    /// Serves the batch's class posteriors in the context
+    /// [`problp_engine::visit_arith`] picks for a format.
+    struct Serve<'a> {
+        tape: &'a Tape,
+        batch: &'a problp_bayes::EvidenceBatch,
         query_var: problp_bayes::VarId,
-        ctx: A,
-    ) -> (Vec<usize>, bool)
-    where
-        A: KernelSet + Clone + Send + Sync,
-        A::Value: Clone + Send + Sync,
-    {
-        let engine = Engine::new(tape.clone(), ctx);
-        let r = engine.conditional_batch(batch, query_var).expect("serves");
-        (r.predictions, r.flags.range_violation())
     }
+    impl ArithVisitor for Serve<'_> {
+        type Output = (Vec<usize>, bool);
+        fn visit<A>(self, ctx: A) -> (Vec<usize>, bool)
+        where
+            A: KernelSet + Clone + Send + Sync,
+            A::Value: Clone + Send + Sync,
+        {
+            let engine = Engine::new(self.tape.clone(), ctx);
+            let r = engine
+                .conditional_batch(self.batch, self.query_var)
+                .expect("serves");
+            (r.predictions, r.flags.range_violation())
+        }
+    }
+    let serve = |spec: ArithSpec| {
+        visit_arith(
+            spec,
+            Serve {
+                tape: &tape,
+                batch: &batch,
+                query_var: bench.query_var,
+            },
+        )
+    };
 
     let mut rows = Vec::new();
     let mut record = |repr: String, (predictions, range_violation): (Vec<usize>, bool)| {
@@ -614,19 +631,11 @@ pub fn accuracy_study(bench: &Benchmark, frac_bits: &[u32], mant_bits: &[u32]) -
     };
     for &f in frac_bits {
         let format = FixedFormat::new(1, f).expect("valid fixed format");
-        let ctx = FixedArith::new(format);
-        record(
-            format!("fx 1,{f}"),
-            serve(&tape, &batch, bench.query_var, ctx),
-        );
+        record(format!("fx 1,{f}"), serve(ArithSpec::Fixed(format)));
     }
     for &m in mant_bits {
         let format = FloatFormat::new(8, m).expect("valid float format");
-        let ctx = FloatArith::new(format);
-        record(
-            format!("fl 8,{m}"),
-            serve(&tape, &batch, bench.query_var, ctx),
-        );
+        record(format!("fl 8,{m}"), serve(ArithSpec::Float(format)));
     }
     AccuracyStudy {
         name: bench.name.clone(),
@@ -902,15 +911,18 @@ pub fn throughput_report(threads: usize) -> String {
 }
 
 /// One arithmetic's row of the evaluator-kernel study ([`kernel_study`]):
-/// the same batched sweep, single-threaded, under each [`problp_engine::KernelKind`].
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// the same batched sweep, single-threaded, on the reference and the
+/// production path.
+#[derive(Clone, PartialEq, Debug)]
 pub struct KernelStudyRow {
-    /// Arithmetic label (`f64` or `fixed:I.F`).
-    pub arith: &'static str,
-    /// Scalar reference kernel evaluations per second.
+    /// Arithmetic label (`f64`, `fixed:I.F` or `float:E.M`).
+    pub arith: String,
+    /// Reference evaluations per second: the scalar kernel in the soft
+    /// context ([`problp_num::FixedArith`], [`problp_num::FloatArith`]).
     pub scalar_eps: f64,
-    /// Fused superinstruction kernel (the engine default) evaluations
-    /// per second.
+    /// Production evaluations per second: the fused kernel (the engine
+    /// default) in the context [`problp_engine::visit_arith`] picks —
+    /// word lanes for narrow formats.
     pub fused_eps: f64,
 }
 
@@ -930,23 +942,79 @@ pub struct KernelStudy {
     pub batch: usize,
     /// One row per arithmetic.
     pub rows: Vec<KernelStudyRow>,
-    /// `true` when every kernel's results matched the scalar walk bit
-    /// for bit during the study itself.
+    /// `true` when every fused sweep matched its row's soft scalar sweep
+    /// bit for bit, flags included, during the study itself.
     pub identical: bool,
     /// The compact tape's fusion statistics.
     pub fuse: problp_engine::FuseStats,
 }
 
+/// The arithmetics of [`kernel_study`]: the reference, the paper's
+/// fixed-point serving format and a float format of the same word size
+/// as IEEE single.
+pub const KERNEL_STUDY_ARITHS: [&str; 3] = ["f64", "fixed:2.14", "float:8.13"];
+
 /// Measures the evaluator kernels on the Alarm circuit: batched
-/// marginals at `batch_size` lanes on a single engine thread, under f64
-/// and the paper's fixed-point serving format, for each
-/// [`problp_engine::KernelKind`]. Every fast-path sweep is cross-checked
-/// bit for bit against the scalar kernel while being timed.
+/// marginals at `batch_size` lanes on a single engine thread, per
+/// arithmetic of [`KERNEL_STUDY_ARITHS`]. The scalar column is the soft
+/// reference context on [`problp_engine::KernelKind::Scalar`]; the fused
+/// column is what production runs, the fused kernel in the context
+/// [`problp_engine::visit_arith`] picks. Every fused sweep is
+/// cross-checked bit for bit, flags included, against the scalar one
+/// while being timed.
 pub fn kernel_study(batch_size: usize) -> KernelStudy {
     use problp_ac::Semiring;
     use problp_bayes::{Evidence, EvidenceBatch};
-    use problp_engine::Engine;
-    use problp_num::{F64Arith, FixedArith};
+    use problp_engine::{visit_arith, ArithVisitor, Engine, KernelKind, KernelSet, Tape};
+    use problp_num::{ArithSpec, F64Arith, FixedArith, Flags, FloatArith};
+
+    /// One timed single-threaded sweep of `tape` in `ctx` on `kernel`:
+    /// evaluations per second, root bits and flags.
+    fn sweep<A>(
+        tape: &Tape,
+        ctx: A,
+        kernel: KernelKind,
+        batch: &EvidenceBatch,
+    ) -> (f64, Vec<u64>, Flags)
+    where
+        A: KernelSet + Clone + Send + Sync,
+        A::Value: Clone + Send + Sync,
+    {
+        // Built outside the timed region, so the fusion pass is setup
+        // cost, exactly as in a serving deployment.
+        let engine = Engine::new(tape.clone(), ctx)
+            .with_kernel(kernel)
+            .with_threads(1);
+        let result = engine.evaluate_batch(batch).expect("evaluates");
+        let bits = engine
+            .to_f64s(&result.values)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let eps = rate_of(
+            || {
+                std::hint::black_box(engine.evaluate_batch(batch).expect("evaluates"));
+            },
+            batch.lanes(),
+        );
+        (eps, bits, result.flags)
+    }
+
+    /// The fused column, in the context `visit_arith` picks.
+    struct Fused<'a> {
+        tape: &'a Tape,
+        batch: &'a EvidenceBatch,
+    }
+    impl ArithVisitor for Fused<'_> {
+        type Output = (f64, Vec<u64>, Flags);
+        fn visit<A>(self, ctx: A) -> Self::Output
+        where
+            A: KernelSet + Clone + Send + Sync,
+            A::Value: Clone + Send + Sync,
+        {
+            sweep(self.tape, ctx, KernelKind::Fused, self.batch)
+        }
+    }
 
     let net = problp_bayes::networks::alarm(SEED);
     // The raw (non-binarized) circuit: the tape lowers k-ary nodes to
@@ -963,66 +1031,38 @@ pub fn kernel_study(batch_size: usize) -> KernelStudy {
     for e in &instances {
         batch.push(e);
     }
-
-    // One engine per kernel, built outside the timed region (so the
-    // fusion pass is setup cost, exactly as in a serving deployment),
-    // each timed on the same batch. The result bit streams double as an
-    // in-run cross-check against the scalar kernel.
-    fn measure_row<A>(
-        arith: &'static str,
-        base: &Engine<A>,
-        batch: &problp_bayes::EvidenceBatch,
-        identical: &mut bool,
-    ) -> KernelStudyRow
-    where
-        A: problp_engine::KernelSet + Clone + Send + Sync,
-        A::Value: Clone + Send + Sync,
-    {
-        use problp_engine::KernelKind;
-        let bits = |e: &Engine<A>| -> Vec<u64> {
-            e.evaluate_batch(batch)
-                .expect("evaluates")
-                .values
-                .iter()
-                .map(|v| e.context().to_f64(v).to_bits())
-                .collect()
-        };
-        // Both kinds pinned explicitly: the scalar column is the
-        // reference whatever the engine default is.
-        let engines = [KernelKind::Scalar, KernelKind::Fused].map(|k| base.clone().with_kernel(k));
-        let reference = bits(&engines[0]);
-        let [scalar_eps, fused_eps] = engines.map(|e| {
-            *identical &= bits(&e) == reference;
-            rate_of(
-                || {
-                    std::hint::black_box(e.evaluate_batch(batch).expect("evaluates"));
-                },
-                batch.lanes(),
-            )
-        });
-        KernelStudyRow {
-            arith,
-            scalar_eps,
-            fused_eps,
-        }
-    }
+    let tape = Tape::compile(&ac, Semiring::SumProduct).expect("alarm compiles to a tape");
+    let fuse = tape.fuse().stats();
 
     let mut identical = true;
-    let f64_engine = Engine::from_graph(&ac, Semiring::SumProduct, F64Arith::new())
-        .expect("alarm compiles to a tape")
-        .with_threads(1);
-    let fuse = f64_engine.fuse_stats().expect("the default engine fuses");
-    let f64_row = measure_row("f64", &f64_engine, &batch, &mut identical);
-
-    let format = FixedFormat::new(2, 14).expect("valid format");
-    let fixed_engine = Engine::from_graph(&ac, Semiring::SumProduct, FixedArith::new(format))
-        .expect("alarm compiles to a tape")
-        .with_threads(1);
-    let fixed_row = measure_row("fixed:2.14", &fixed_engine, &batch, &mut identical);
+    let rows = KERNEL_STUDY_ARITHS
+        .iter()
+        .map(|name| {
+            let spec = ArithSpec::parse(name).expect("valid study arithmetic");
+            let reference = match spec {
+                ArithSpec::F64 => sweep(&tape, F64Arith::new(), KernelKind::Scalar, &batch),
+                ArithSpec::Fixed(f) => sweep(&tape, FixedArith::new(f), KernelKind::Scalar, &batch),
+                ArithSpec::Float(f) => sweep(&tape, FloatArith::new(f), KernelKind::Scalar, &batch),
+            };
+            let fused = visit_arith(
+                spec,
+                Fused {
+                    tape: &tape,
+                    batch: &batch,
+                },
+            );
+            identical &= fused.1 == reference.1 && fused.2 == reference.2;
+            KernelStudyRow {
+                arith: spec.to_string(),
+                scalar_eps: reference.0,
+                fused_eps: fused.0,
+            }
+        })
+        .collect();
 
     KernelStudy {
         batch: batch_size,
-        rows: vec![f64_row, fixed_row],
+        rows,
         identical,
         fuse,
     }

@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use problp_ac::{compile, transform::binarize, AcGraph, Semiring};
 use problp_bayes::{BayesNet, Evidence, EvidenceBatch, VarId};
-use problp_engine::{Engine, KernelKind, KernelSet};
+use problp_engine::{visit_arith, ArithVisitor, Engine, KernelKind, KernelSet, Tape};
 use problp_hw::{Netlist, PipelineSim, Schedule};
 use problp_num::{
     F64Arith, FixedArith, FixedFormat, Flags, FloatArith, FloatFormat, Representation,
@@ -207,8 +207,41 @@ where
         wall,
         work: (instrs * batch.lanes()) as u64,
         range_flag: range_flag(result.flags, kind, config),
+        flags: result.flags,
+        flags_diverged: false,
     };
     Ok((run, bits))
+}
+
+/// The fused backends of one case, run in whatever context
+/// [`visit_arith`] picks for the case's arithmetic.
+struct FusedRuns<'a> {
+    /// Each fused backend's tape and the flags its soft sweep raised.
+    streams: [(BackendKind, &'a Tape, Flags); 2],
+    batch: &'a EvidenceBatch,
+    reference: &'a [u64],
+    config: &'a ConformanceConfig,
+}
+
+impl ArithVisitor for FusedRuns<'_> {
+    type Output = Result<Vec<BackendRun>, ConformanceError>;
+
+    fn visit<A>(self, ctx: A) -> Self::Output
+    where
+        A: KernelSet + Clone + Send + Sync,
+        A::Value: Clone + Send + Sync,
+    {
+        self.streams
+            .into_iter()
+            .map(|(kind, tape, soft_flags)| {
+                let engine = Engine::new(tape.clone(), ctx.clone()).with_kernel(KernelKind::Fused);
+                let (mut run, _) =
+                    engine_run(kind, &engine, self.batch, self.reference, self.config)?;
+                run.flags_diverged = run.flags != soft_flags;
+                Ok(run)
+            })
+            .collect()
+    }
 }
 
 /// One `(model, arithmetic, semiring)` case: evaluate every applicable
@@ -251,6 +284,8 @@ where
         wall: scalar_wall,
         work: scalar_ops * lanes as u64,
         range_flag: range_flag(scalar_flags, BackendKind::Scalar, config),
+        flags: scalar_flags,
+        flags_diverged: false,
     });
 
     // Compact tape on the scalar reference kernel: the serving pool's
@@ -262,6 +297,7 @@ where
     let static_report = problp_verify::analyze(engine.tape(), arith)?;
     let static_safe = config.force_static_safe || static_report.all_safe();
     let (run, _) = engine_run(BackendKind::TapeCompact, &engine, batch, &reference, config)?;
+    let compact_flags = run.flags;
     backends.push(run);
 
     // Full-values tape: root bits on every lane, whole node vectors on a
@@ -286,19 +322,27 @@ where
             run.first_mismatch = run.first_mismatch.or(Some(lane));
         }
     }
+    let full_flags = run.flags;
     backends.push(run);
 
-    // Fused superinstruction streams (the `Engine` default kernel): the
-    // compact tape gets MulAcc + Reduce, the full-values tape chain
-    // collapse only — both must reproduce the scalar reference bit for
-    // bit, flags included.
-    for (kind, base) in [
-        (BackendKind::FusedCompact, &engine),
-        (BackendKind::FusedFull, &full),
-    ] {
-        let fused = base.clone().with_kernel(KernelKind::Fused);
-        backends.push(engine_run(kind, &fused, batch, &reference, config)?.0);
-    }
+    // Fused superinstruction streams (the `Engine` default kernel) in the
+    // context `visit_arith` picks, the word-lane one for narrow formats:
+    // the compact tape gets MulAcc + Reduce, the full-values tape chain
+    // collapse only. Both must reproduce the soft scalar walk bit for
+    // bit, and raise exactly the flags of the soft sweep over the same
+    // tape. (The flags are compared per tape, not with the tree walk:
+    // an engine converts its constants once, while the walk converts
+    // them per lane.)
+    let fused = FusedRuns {
+        streams: [
+            (BackendKind::FusedCompact, engine.tape(), compact_flags),
+            (BackendKind::FusedFull, full.tape(), full_flags),
+        ],
+        batch,
+        reference: &reference,
+        config,
+    };
+    backends.extend(visit_arith(arith, fused)?);
 
     // The hardware executors implement the sum/product datapath only.
     if semiring == Semiring::SumProduct {
@@ -320,6 +364,8 @@ where
             wall,
             work: schedule.stats().instructions as u64 * lanes as u64,
             range_flag: range_flag(c.flags(), BackendKind::Schedule, config),
+            flags: c.flags(),
+            flags_diverged: false,
         });
 
         let mut fresh = ctx.clone();
@@ -342,6 +388,8 @@ where
             wall,
             work: sim.cycle() - cycles_before,
             range_flag: range_flag(sim.context().flags(), BackendKind::Pipeline, config),
+            flags: sim.context().flags(),
+            flags_diverged: false,
         });
     }
 

@@ -15,8 +15,8 @@
 //! | `scalar` (reference) | `problp-ac` | [`problp_ac::AcGraph::evaluate_nodes`], one tree-walk per lane |
 //! | `tape` | `problp-engine` | compact tape ([`problp_engine::Tape::compile`]), SoA batch sweep on the scalar kernel |
 //! | `tape-full` | `problp-engine` | full-values tape ([`problp_engine::Tape::compile_full`]) on the scalar kernel, plus per-node spot checks |
-//! | `fused-compact` | `problp-engine` | the compact tape's fused stream ([`problp_engine::Tape::fuse`]), the `Engine` default kernel |
-//! | `fused-full` | `problp-engine` | the full-values tape's fused stream |
+//! | `fused-compact` | `problp-engine` | the compact tape's fused stream ([`problp_engine::Tape::fuse`]), the `Engine` default kernel, in the context [`problp_engine::visit_arith`] picks (word lanes where the format fits) |
+//! | `fused-full` | `problp-engine` | the full-values tape's fused stream, in the same context |
 //! | `schedule` | `problp-hw` | sequential ALU ([`problp_hw::Schedule::execute_batch`]) |
 //! | `pipeline` | `problp-hw` | cycle-accurate pipelined datapath, streaming one lane per cycle ([`problp_hw::PipelineSim::run_batch`]) |
 //!

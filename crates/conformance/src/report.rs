@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use problp_ac::Semiring;
+use problp_num::Flags;
 
 use crate::spec::{semiring_name, ArithSpec, BackendKind};
 
@@ -31,6 +32,12 @@ pub struct BackendRun {
     /// analysis: a raise on a case whose every instruction is
     /// *provably-safe* is a soundness violation and fails the case.
     pub range_flag: bool,
+    /// The backend's sticky flags over the whole batch.
+    pub flags: Flags,
+    /// Whether a fused backend's flags differ from those of the soft
+    /// scalar sweep over the same tape. The fused streams may run a
+    /// word-lane context, which must raise exactly the soft flags.
+    pub flags_diverged: bool,
 }
 
 impl BackendRun {
@@ -70,11 +77,14 @@ pub struct CaseReport {
 }
 
 impl CaseReport {
-    /// Returns `true` if every backend matched the reference bit for bit
-    /// **and** no backend's runtime flags contradicted the static
-    /// analysis.
+    /// Returns `true` if every backend matched the reference bit for bit,
+    /// every fused backend raised the soft flags, **and** no backend's
+    /// runtime flags contradicted the static analysis.
     pub fn all_match(&self) -> bool {
-        self.backends.iter().all(|b| b.mismatched_lanes == 0) && self.flag_conflicts() == 0
+        self.backends
+            .iter()
+            .all(|b| b.mismatched_lanes == 0 && !b.flags_diverged)
+            && self.flag_conflicts() == 0
     }
 
     /// Backends whose runtime range flags contradict a *provably-safe*
@@ -114,6 +124,16 @@ impl ConformanceReport {
             .flat_map(|c| &c.backends)
             .map(|b| b.mismatched_lanes)
             .sum()
+    }
+
+    /// Fused backends whose flags differed from the soft sweep's, across
+    /// all cases.
+    pub fn total_flag_divergences(&self) -> usize {
+        self.cases
+            .iter()
+            .flat_map(|c| &c.backends)
+            .filter(|b| b.flags_diverged)
+            .count()
     }
 
     /// Total static/runtime flag conflicts across all cases.
@@ -158,7 +178,9 @@ impl std::fmt::Display for ConformanceReport {
             f,
             "backends: scalar reference vs tape, tape-full, fused-compact, \
              fused-full, schedule, pipeline \
-             (hardware joins sum-product cases)"
+             (hardware joins sum-product cases); the fused streams run \
+             word lanes where the format fits one word, and FLAGS! marks \
+             one whose flags differ from the soft sweep's"
         )?;
         writeln!(
             f,
@@ -188,6 +210,7 @@ impl std::fmt::Display for ConformanceReport {
             let cell = |kind: BackendKind| -> String {
                 match case.backends.iter().find(|b| b.backend == kind) {
                     None => "-".to_string(),
+                    Some(b) if b.mismatched_lanes == 0 && b.flags_diverged => "FLAGS!".to_string(),
                     Some(b) if b.mismatched_lanes == 0 => "ok".to_string(),
                     Some(b) => format!(
                         "X({} @{})",
@@ -251,9 +274,10 @@ impl std::fmt::Display for ConformanceReport {
             writeln!(
                 f,
                 "verdict: FAIL — {} diverging lanes across {} result streams, \
-                 {} static/runtime flag conflicts",
+                 {} diverging flag sets, {} static/runtime flag conflicts",
                 self.total_mismatches(),
                 self.compared_streams(),
+                self.total_flag_divergences(),
                 self.total_flag_conflicts()
             )
         }

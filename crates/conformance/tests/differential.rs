@@ -25,9 +25,9 @@ fn small_config() -> ConformanceConfig {
 fn named_models_are_bit_identical_across_all_backends() {
     let report = run_conformance(&small_models(), &small_config()).unwrap();
     assert!(report.all_match(), "unexpected divergence:\n{report}");
-    // 2 models × 3 ariths × 3 semirings cases; hardware joins only the
+    // 2 models × 4 ariths × 3 semirings cases; hardware joins only the
     // sum-product third.
-    assert_eq!(report.cases.len(), 18);
+    assert_eq!(report.cases.len(), 24);
     let hw_cases = report
         .cases
         .iter()
@@ -37,7 +37,7 @@ fn named_models_are_bit_identical_across_all_backends() {
                 .any(|b| b.backend == BackendKind::Pipeline)
         })
         .count();
-    assert_eq!(hw_cases, 6);
+    assert_eq!(hw_cases, 8);
     assert_eq!(report.total_mismatches(), 0);
 }
 
@@ -240,4 +240,26 @@ fn report_rendering_names_the_verdict() {
     assert!(text.contains("verdict: PASS"), "{text}");
     assert!(text.contains("pipeline"), "{text}");
     assert!(text.contains("sum-product"), "{text}");
+}
+
+#[test]
+fn the_default_matrix_drives_word_lanes_into_their_range_flags() {
+    // float:5.10 runs on word lanes in the fused streams; its narrow
+    // exponent range must make the soft walk underflow somewhere, so
+    // the word lanes' flush-to-zero and flags are compared for real.
+    let report = run_conformance(&random_models(41, 3), &small_config()).unwrap();
+    assert!(report.all_match(), "{report}");
+    let half = ArithSpec::parse("float:5.10").unwrap();
+    let flagged = report
+        .cases
+        .iter()
+        .filter(|c| c.arith == half)
+        .filter(|c| c.backends[0].flags.underflow)
+        .count();
+    assert!(flagged > 0, "no float:5.10 case underflowed:\n{report}");
+    for case in report.cases.iter().filter(|c| c.arith == half) {
+        for b in &case.backends {
+            assert!(!b.flags_diverged, "{} {}", case.model, b.backend);
+        }
+    }
 }

@@ -38,5 +38,5 @@ mod measure;
 mod pipeline;
 
 pub use error::CoreError;
-pub use measure::{measure_errors, ErrorStats};
+pub use measure::{measure_errors, measure_errors_with, ErrorStats};
 pub use pipeline::{gate_level_energy_nj, Candidate, HardwareReport, Problp, Report};

@@ -10,12 +10,19 @@
 //! is bit-identical to the scalar tree-walk this module used before the
 //! engine existed (pinned by `problp-engine`'s property tests), so the
 //! reported statistics are unchanged — just measured much faster.
+//!
+//! The low-precision engine runs in the context
+//! [`problp_engine::visit_arith`] picks: a word-lane context for formats
+//! that fit one machine word, the soft [`problp_num::FixedArith`] /
+//! [`problp_num::FloatArith`] otherwise. Both give the same values and
+//! flags bit for bit, so [`measure_errors`] returns the same
+//! [`ErrorStats`] as [`measure_errors_with`] in the soft context.
 
 use problp_ac::{AcError, AcGraph, Semiring};
 use problp_bayes::{Evidence, EvidenceBatch, VarId};
 use problp_bounds::QueryType;
-use problp_engine::{Engine, EngineError, KernelSet, Tape};
-use problp_num::{F64Arith, FixedArith, Flags, FloatArith, Representation};
+use problp_engine::{visit_arith, ArithVisitor, Engine, EngineError, KernelSet, Tape};
+use problp_num::{F64Arith, Flags, Representation};
 
 use crate::error::CoreError;
 
@@ -184,6 +191,51 @@ pub fn measure_errors(
     query_var: VarId,
     test_evidence: &[Evidence],
 ) -> Result<ErrorStats, CoreError> {
+    struct Measure<'a> {
+        ac: &'a AcGraph,
+        query: QueryType,
+        query_var: VarId,
+        test_evidence: &'a [Evidence],
+    }
+    impl ArithVisitor for Measure<'_> {
+        type Output = Result<ErrorStats, CoreError>;
+        fn visit<A>(self, ctx: A) -> Self::Output
+        where
+            A: KernelSet + Clone + Send + Sync,
+            A::Value: Clone + Send + Sync,
+        {
+            measure_errors_with(self.ac, ctx, self.query, self.query_var, self.test_evidence)
+        }
+    }
+    visit_arith(
+        repr.into(),
+        Measure {
+            ac,
+            query,
+            query_var,
+            test_evidence,
+        },
+    )
+}
+
+/// [`measure_errors`] with the low-precision engine in an explicit
+/// arithmetic context `lp_ctx` — e.g. the soft reference contexts, or a
+/// truncating [`problp_num::FixedArith`].
+///
+/// # Errors
+///
+/// As [`measure_errors`].
+pub fn measure_errors_with<A>(
+    ac: &AcGraph,
+    lp_ctx: A,
+    query: QueryType,
+    query_var: VarId,
+    test_evidence: &[Evidence],
+) -> Result<ErrorStats, CoreError>
+where
+    A: KernelSet + Clone + Send + Sync,
+    A::Value: Clone + Send + Sync,
+{
     let query_states = ac.var_arities()[query_var.index()];
     for e in test_evidence {
         if e.len() != ac.var_count() {
@@ -206,24 +258,7 @@ pub fn measure_errors(
         EngineError::Circuit(ac_err) => CoreError::Circuit(ac_err),
         other => CoreError::Engine(other),
     })?;
-    match repr {
-        Representation::Fixed(format) => measure_batched(
-            &tape,
-            FixedArith::new(format),
-            query,
-            query_var,
-            query_states,
-            &batch,
-        ),
-        Representation::Float(format) => measure_batched(
-            &tape,
-            FloatArith::new(format),
-            query,
-            query_var,
-            query_states,
-            &batch,
-        ),
-    }
+    measure_batched(&tape, lp_ctx, query, query_var, query_states, &batch)
 }
 
 #[cfg(test)]

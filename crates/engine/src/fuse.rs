@@ -56,16 +56,32 @@ pub enum BinOp {
     MinNz,
 }
 
+/// A tape [`Instr`] split by shape: an indicator load, or a binary op
+/// as `(op, dst, lhs, rhs)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Decoded {
+    Load { dst: u32, slot: u32 },
+    Bin(BinOp, u32, u32, u32),
+}
+
 impl BinOp {
+    /// Splits a tape instruction by shape.
+    pub(crate) fn split(instr: Instr) -> Decoded {
+        match instr {
+            Instr::LoadIndicator { dst, slot } => Decoded::Load { dst, slot },
+            Instr::Add { dst, lhs, rhs } => Decoded::Bin(BinOp::Add, dst, lhs, rhs),
+            Instr::Mul { dst, lhs, rhs } => Decoded::Bin(BinOp::Mul, dst, lhs, rhs),
+            Instr::Max { dst, lhs, rhs } => Decoded::Bin(BinOp::Max, dst, lhs, rhs),
+            Instr::MinNz { dst, lhs, rhs } => Decoded::Bin(BinOp::MinNz, dst, lhs, rhs),
+        }
+    }
+
     /// Decodes a binary tape instruction into `(op, dst, lhs, rhs)`;
     /// `None` for [`Instr::LoadIndicator`].
     pub(crate) fn decode(instr: Instr) -> Option<(BinOp, u32, u32, u32)> {
-        match instr {
-            Instr::LoadIndicator { .. } => None,
-            Instr::Add { dst, lhs, rhs } => Some((BinOp::Add, dst, lhs, rhs)),
-            Instr::Mul { dst, lhs, rhs } => Some((BinOp::Mul, dst, lhs, rhs)),
-            Instr::Max { dst, lhs, rhs } => Some((BinOp::Max, dst, lhs, rhs)),
-            Instr::MinNz { dst, lhs, rhs } => Some((BinOp::MinNz, dst, lhs, rhs)),
+        match Self::split(instr) {
+            Decoded::Bin(op, dst, lhs, rhs) => Some((op, dst, lhs, rhs)),
+            Decoded::Load { .. } => None,
         }
     }
 }
@@ -251,19 +267,24 @@ impl RegEvents {
     }
 }
 
-/// Extends `out`/`operands` with the maximal accumulator run continuing
-/// `op` into `dst` starting at `instrs[from]`, returning the index past
-/// the run. Emits nothing when the run is empty.
+/// Emits a `Reduce` folding into `dst` from `first`: `head` (if any)
+/// then the maximal accumulator run continuing `op` into `dst` from
+/// `instrs[from]`. Returns the index past the run, or `None` (emitting
+/// nothing) when the run is empty.
+#[allow(clippy::too_many_arguments)]
 fn take_chain(
     instrs: &[Instr],
     from: usize,
     op: BinOp,
     dst: u32,
+    first: u32,
+    head: Option<u32>,
     out: &mut Vec<FusedInstr>,
     operands: &mut Vec<u32>,
     stats: &mut FuseStats,
-) -> usize {
-    let lo = operands.len() as u32;
+) -> Option<usize> {
+    let lo = operands.len();
+    operands.extend(head);
     let mut j = from;
     while j < instrs.len() {
         match BinOp::decode(instrs[j]) {
@@ -278,21 +299,19 @@ fn take_chain(
             _ => break,
         }
     }
-    let hi = operands.len() as u32;
-    if hi == lo {
-        return from;
+    if j == from {
+        operands.truncate(lo);
+        return None;
     }
-    // The run's fold starts from the destination's current value (it was
-    // written by the instruction the caller already emitted).
     out.push(FusedInstr::Reduce {
         op,
         dst,
-        first: dst,
-        lo,
-        hi,
+        first,
+        lo: lo as u32,
+        hi: operands.len() as u32,
     });
     stats.reduces += 1;
-    j
+    Some(j)
 }
 
 impl Tape {
@@ -315,13 +334,13 @@ impl Tape {
 
         let mut i = 0;
         while i < instrs.len() {
-            let Some((op, dst, lhs, rhs)) = BinOp::decode(instrs[i]) else {
-                let Instr::LoadIndicator { dst, slot } = instrs[i] else {
-                    unreachable!("decode returns None only for LoadIndicator")
-                };
-                out.push(FusedInstr::LoadIndicator { dst, slot });
-                i += 1;
-                continue;
+            let (op, dst, lhs, rhs) = match BinOp::split(instrs[i]) {
+                Decoded::Load { dst, slot } => {
+                    out.push(FusedInstr::LoadIndicator { dst, slot });
+                    i += 1;
+                    continue;
+                }
+                Decoded::Bin(op, dst, lhs, rhs) => (op, dst, lhs, rhs),
             };
 
             // Rule B — MulAcc: a multiply whose result feeds the very next
@@ -343,44 +362,45 @@ impl Tape {
                         });
                         stats.mul_accs += 1;
                         // The consumer may have been the head of a longer
-                        // chain; collapse the remaining steps.
+                        // chain; collapse the remaining steps, folding
+                        // from the value the MulAcc just wrote.
                         i = take_chain(
                             instrs,
                             i + 2,
                             cop,
                             cdst,
+                            cdst,
+                            None,
                             &mut out,
                             &mut operands,
                             &mut stats,
-                        );
+                        )
+                        .unwrap_or(i + 2);
                         continue;
                     }
                 }
             }
 
             // Rule A — Reduce: collapse the maximal accumulator chain
-            // headed by this instruction.
-            let before = out.len();
-            let j = take_chain(instrs, i + 1, op, dst, &mut out, &mut operands, &mut stats);
-            if out.len() > before {
-                // Merge the head into the emitted Reduce: its fold starts
-                // from `lhs` and `rhs` joins the operand list front.
-                let Some(FusedInstr::Reduce { first, lo, .. }) = out.last_mut() else {
-                    unreachable!("take_chain emits a Reduce when it advances")
-                };
-                *first = lhs;
-                // `rhs` must become the first folded operand. The side
-                // table slice for this Reduce starts at `lo`; shift it.
-                operands.insert(*lo as usize, rhs);
-                let Some(FusedInstr::Reduce { hi, .. }) = out.last_mut() else {
-                    unreachable!("just matched")
-                };
-                *hi += 1;
-                i = j;
-                continue;
+            // headed by this instruction into one fold from `lhs`, with
+            // `rhs` as its first operand.
+            match take_chain(
+                instrs,
+                i + 1,
+                op,
+                dst,
+                lhs,
+                Some(rhs),
+                &mut out,
+                &mut operands,
+                &mut stats,
+            ) {
+                Some(j) => i = j,
+                None => {
+                    out.push(FusedInstr::Bin { op, dst, lhs, rhs });
+                    i += 1;
+                }
             }
-            out.push(FusedInstr::Bin { op, dst, lhs, rhs });
-            i += 1;
         }
 
         stats.fused_instrs = out.len();

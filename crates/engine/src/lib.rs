@@ -42,7 +42,10 @@
 //!    chains to [`FusedInstr::Reduce`] and multiply-into-consumer pairs
 //!    to [`FusedInstr::MulAcc`] — same fold order, two roundings, never
 //!    an FMA) through lane-chunked row kernels ([`KernelSet`],
-//!    [`LANE_WIDTH`]-wide chunks, no intrinsics). The fused kernel is
+//!    [`LANE_WIDTH`]-wide chunks, no intrinsics). Narrow low-precision
+//!    formats run on word lanes (`u64` fixed, `f64` float) whose results
+//!    are defined as the soft contexts'; [`visit_arith`] picks the
+//!    context for an [`problp_num::ArithSpec`]. The fused kernel is
 //!    pinned bit-identical to the scalar walk by `tests/kernels.rs` and
 //!    by the `problp-conformance` differential matrix.
 //!
@@ -95,7 +98,7 @@ pub mod verify;
 pub use engine::{BatchResult, Engine};
 pub use error::EngineError;
 pub use fuse::{BinOp, FuseStats, FusedInstr, FusedTape};
-pub use kernels::{KernelKind, KernelSet, LANE_WIDTH};
+pub use kernels::{visit_arith, ArithVisitor, KernelKind, KernelSet, LANE_WIDTH};
 pub use query::{ConditionalBatchResult, ConditionalLaneStatus, MpeBatchResult, QueryBatchResult};
 pub use serve::{
     lane_answer_eq, CircuitPool, Gateway, GatewayConfig, LaneResult, ModelVersion, Priority,

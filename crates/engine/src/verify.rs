@@ -43,7 +43,7 @@
 
 use std::collections::HashMap;
 
-use crate::fuse::{BinOp, FusedInstr, FusedTape};
+use crate::fuse::{BinOp, Decoded, FusedInstr, FusedTape};
 use crate::tape::{Instr, Tape, TapeMode};
 
 /// A well-formedness violation found by the static tape verifier.
@@ -289,8 +289,8 @@ impl Tape {
         // accumulator chain discipline.
         let instrs = self.instrs();
         for (i, &instr) in instrs.iter().enumerate() {
-            match instr {
-                Instr::LoadIndicator { dst, slot } => {
+            match BinOp::split(instr) {
+                Decoded::Load { dst, slot } => {
                     if dst >= num_regs {
                         return Err(VerifyError::RegisterOutOfBounds { instr: i, reg: dst });
                     }
@@ -309,10 +309,7 @@ impl Tape {
                     }
                     defined[dst as usize] = true;
                 }
-                _ => {
-                    let Some((op, dst, lhs, rhs)) = BinOp::decode(instr) else {
-                        unreachable!("decode covers every binary instruction")
-                    };
+                Decoded::Bin(op, dst, lhs, rhs) => {
                     for reg in [dst, lhs, rhs] {
                         if reg >= num_regs {
                             return Err(VerifyError::RegisterOutOfBounds { instr: i, reg });
@@ -473,14 +470,11 @@ impl Tape {
 
         let mut tape_regs = initial_symbolic_regs(self, &mut arena)?;
         for (i, &instr) in self.instrs().iter().enumerate() {
-            match instr {
-                Instr::LoadIndicator { dst, slot } => {
+            match BinOp::split(instr) {
+                Decoded::Load { dst, slot } => {
                     tape_regs[dst as usize] = Some(arena.intern(ExprNode::Indicator(slot)));
                 }
-                _ => {
-                    let Some((op, dst, lhs, rhs)) = BinOp::decode(instr) else {
-                        unreachable!("decode covers every binary instruction")
-                    };
+                Decoded::Bin(op, dst, lhs, rhs) => {
                     let l = sym_read(&tape_regs, lhs, i)?;
                     let r = sym_read(&tape_regs, rhs, i)?;
                     tape_regs[dst as usize] = Some(arena.intern(ExprNode::Op(op, l, r)));

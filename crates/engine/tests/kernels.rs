@@ -4,7 +4,8 @@
 //! every semiring, every arithmetic, both tape modes, every chunk size
 //! and every remainder lane count. The scalar walk stays the reference
 //! (always pinned with `with_kernel(KernelKind::Scalar)`); these tests
-//! are the license for the fast path to exist.
+//! are the license for the fast paths to exist. The word-lane contexts
+//! are checked against the scalar kernel in their *soft* types.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -12,7 +13,10 @@ use proptest::test_runner::TestCaseError;
 use problp_ac::{compile, transform::binarize, Semiring};
 use problp_bayes::{networks, Evidence, EvidenceBatch, VarId};
 use problp_engine::{Engine, FusedInstr, FusedTape, KernelKind, KernelSet, Tape, LANE_WIDTH};
-use problp_num::{F64Arith, FixedArith, FixedFormat, FloatArith, FloatFormat};
+use problp_num::{
+    F64Arith, FixedArith, FixedFormat, FixedRounding, FixedWordArith, Flags, FloatArith,
+    FloatFormat, FloatWordArith,
+};
 
 const SEMIRINGS: [Semiring; 3] = [
     Semiring::SumProduct,
@@ -108,19 +112,41 @@ where
     A: KernelSet + Clone + Send + Sync,
     A::Value: Clone + Send + Sync,
 {
-    let fast = Engine::new(tape.clone(), ctx);
+    fused_matches_scalar(tape, ctx.clone(), ctx, batch)
+}
+
+/// [`default_matches_scalar`] with the fused engine in `fast_ctx` and the
+/// scalar reference in `reference_ctx` — a word-lane context against its
+/// soft type.
+fn fused_matches_scalar<R, A>(
+    tape: &Tape,
+    reference_ctx: R,
+    fast_ctx: A,
+    batch: &EvidenceBatch,
+) -> Result<(), TestCaseError>
+where
+    R: KernelSet + Clone + Send + Sync,
+    R::Value: Clone + Send + Sync,
+    A: KernelSet + Clone + Send + Sync,
+    A::Value: Clone + Send + Sync,
+{
+    let fast = Engine::new(tape.clone(), fast_ctx);
     prop_assert_eq!(fast.kernel(), KernelKind::Fused);
-    let reference = fast.clone().with_kernel(KernelKind::Scalar);
+    let reference = Engine::new(tape.clone(), reference_ctx).with_kernel(KernelKind::Scalar);
     // The root bits and sticky flags of one batch sweep.
-    let sweep = |e: &Engine<A>, b: &EvidenceBatch| {
+    fn sweep<A>(e: &Engine<A>, b: &EvidenceBatch) -> (Vec<u64>, Flags)
+    where
+        A: KernelSet + Clone + Send + Sync,
+        A::Value: Clone + Send + Sync,
+    {
         let r = e.evaluate_batch(b).unwrap();
-        let bits: Vec<u64> = r
+        let bits = r
             .values
             .iter()
             .map(|v| e.context().to_f64(v).to_bits())
             .collect();
         (bits, r.flags)
-    };
+    }
     prop_assert_eq!(sweep(&fast, batch), sweep(&reference, batch));
     for lane in 0..batch.lanes() {
         let one = lane_batch(batch, lane);
@@ -158,22 +184,62 @@ proptest! {
         }
     }
 
-    /// The same in narrow fixed-point formats, where the u128 fast path
-    /// replaces the wide-integer reference multiply and the per-lane
-    /// sticky flags (inexact, overflow) actually fire.
+    /// Word lanes against their soft types: the fused kernel on `u64`
+    /// raw words must return the soft scalar kernel's values and flags
+    /// in narrow fixed-point formats, in both rounding modes, where the
+    /// per-lane sticky flags (inexact, overflow) actually fire.
     #[test]
-    fn fused_matches_scalar_in_narrow_fixed_formats(
+    fn fixed_word_lanes_match_the_soft_scalar_kernel(
         seed in 0u64..500,
         lanes in 1usize..80,
-        frac in 6u32..20,
+        (int_bits, frac) in (0u32..3, 6u32..20),
+        truncate in any::<bool>(),
     ) {
         let net = networks::random_network(seed, 6, 2, 3);
         let ac = compile(&net).unwrap();
         let batch = varied_batch(&net, lanes);
-        let format = FixedFormat::new(1, frac).unwrap();
+        let format = FixedFormat::new(int_bits, frac).unwrap();
+        let rounding = if truncate { FixedRounding::Truncate } else { FixedRounding::HalfUp };
         for semiring in SEMIRINGS {
-            let tape = Tape::compile(&ac, semiring).unwrap();
-            default_matches_scalar(&tape, FixedArith::new(format), &batch)?;
+            for tape in [
+                Tape::compile(&ac, semiring).unwrap(),
+                Tape::compile_full(&ac, semiring).unwrap(),
+            ] {
+                fused_matches_scalar(
+                    &tape,
+                    FixedArith::with_rounding(format, rounding),
+                    FixedWordArith::with_rounding(format, rounding).unwrap(),
+                    &batch,
+                )?;
+            }
+        }
+    }
+
+    /// The same for `f64` lanes in narrow float formats; the small
+    /// exponent ranges make products underflow, so the flush-to-zero
+    /// path and its flags are compared too.
+    #[test]
+    fn float_word_lanes_match_the_soft_scalar_kernel(
+        seed in 0u64..500,
+        lanes in 1usize..80,
+        (exp_bits, mant_bits) in (3u32..11, 2u32..25),
+    ) {
+        let net = networks::random_network(seed, 6, 2, 3);
+        let ac = compile(&net).unwrap();
+        let batch = varied_batch(&net, lanes);
+        let format = FloatFormat::new(exp_bits, mant_bits).unwrap();
+        for semiring in SEMIRINGS {
+            for tape in [
+                Tape::compile(&ac, semiring).unwrap(),
+                Tape::compile_full(&ac, semiring).unwrap(),
+            ] {
+                fused_matches_scalar(
+                    &tape,
+                    FloatArith::new(format),
+                    FloatWordArith::new(format).unwrap(),
+                    &batch,
+                )?;
+            }
         }
     }
 

@@ -22,6 +22,8 @@
 //! The [`Arith`] trait abstracts over the number systems so that arithmetic
 //! circuits evaluate identically under exact `f64` ([`F64Arith`]),
 //! fixed point ([`FixedArith`]) or floating point ([`FloatArith`]).
+//! [`FixedWordArith`] and [`FloatWordArith`] compute the same results as
+//! the soft contexts for narrow formats, on one native word per value.
 //!
 //! # Examples
 //!
@@ -60,6 +62,7 @@ mod float;
 mod repr;
 mod spec;
 mod wide;
+mod word;
 
 pub use arith::{Arith, F64Arith, FixedArith, FloatArith};
 pub use error::FormatError;
@@ -69,3 +72,4 @@ pub use float::{FloatFormat, LpFloat, MAX_EXP_BITS, MAX_MANT_BITS, MIN_EXP_BITS,
 pub use repr::Representation;
 pub use spec::ArithSpec;
 pub use wide::U256;
+pub use word::{FixedWordArith, FloatWordArith, WordLanes};

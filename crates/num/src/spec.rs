@@ -81,6 +81,15 @@ impl ArithSpec {
     }
 }
 
+impl From<crate::Representation> for ArithSpec {
+    fn from(repr: crate::Representation) -> Self {
+        match repr {
+            crate::Representation::Fixed(f) => ArithSpec::Fixed(f),
+            crate::Representation::Float(f) => ArithSpec::Float(f),
+        }
+    }
+}
+
 impl std::fmt::Display for ArithSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

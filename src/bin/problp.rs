@@ -108,7 +108,8 @@
 //! outcome.
 //!
 //! `lint-src` enforces the serving-path panic policy: no `.unwrap()` /
-//! `.expect(` in the non-test code of the engine core
+//! `.expect(` and no `panic!` / `unreachable!` / `todo!` /
+//! `unimplemented!` in the non-test code of the engine core
 //! (`crates/engine/src`), the `crates/engine/src/serve/` modules and
 //! `crates/telemetry/src` (scanning stops at the first
 //! `#[cfg(test)]` line of each file). Exceptions live in
@@ -1512,8 +1513,11 @@ fn conformance(o: &Opts) -> Result<(), Box<dyn Error>> {
         Ok(())
     } else {
         Err(format!(
-            "{} result lanes diverged from the scalar reference",
-            report.total_mismatches()
+            "{} result lanes diverged from the scalar reference, {} flag sets \
+             from the soft sweep, {} runtime flags contradicted the static verdict",
+            report.total_mismatches(),
+            report.total_flag_divergences(),
+            report.total_flag_conflicts()
         )
         .into())
     }
@@ -1698,7 +1702,19 @@ const LINT_SCOPE_DIRS: [&str; 3] = [
     "crates/telemetry/src",
 ];
 
+/// The code patterns `lint-src` reports: every way non-test code can
+/// panic on purpose.
+const PANIC_SITES: [&str; 6] = [
+    ".unwrap()",
+    ".expect(",
+    "panic!",
+    "unreachable!",
+    "todo!",
+    "unimplemented!",
+];
+
 /// Enforces the serving-path panic policy: no `.unwrap()` / `.expect(`
+/// and no `panic!` / `unreachable!` / `todo!` / `unimplemented!`
 /// outside test code in the lint scope. Allowlist entries are
 /// `file-suffix: line-substring` lines in `allow_path`; `#` comments
 /// and blank lines are skipped. Returns `Ok(false)` on violations.
@@ -1745,7 +1761,7 @@ fn lint_src(allow_path: &std::path::Path) -> Result<bool, Box<dyn Error>> {
             if code.starts_with("//") {
                 continue;
             }
-            if !code.contains(".unwrap()") && !code.contains(".expect(") {
+            if !PANIC_SITES.iter().any(|p| code.contains(p)) {
                 continue;
             }
             if allow
@@ -1754,17 +1770,14 @@ fn lint_src(allow_path: &std::path::Path) -> Result<bool, Box<dyn Error>> {
             {
                 continue;
             }
-            println!(
-                "{rel}:{}: unwrap()/expect() in non-test code: {code}",
-                idx + 1
-            );
+            println!("{rel}:{}: panic site in non-test code: {code}", idx + 1);
             violations += 1;
         }
     }
 
     if violations == 0 {
         println!(
-            "lint-src: clean — no unwrap()/expect() in the non-test code of {} files",
+            "lint-src: clean — no panic site in the non-test code of {} files",
             files.len()
         );
         Ok(true)
